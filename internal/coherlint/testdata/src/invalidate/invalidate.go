@@ -17,50 +17,73 @@ func (r *ring) slotG(pos uint64) fabric.GPtr {
 	return r.slots.Add((pos & (r.capacity - 1)) * r.slotSize)
 }
 
-// brokenPop is SPSCRing.TryPop with the torture harness's
+// consumer mirrors ds.SPSCConsumer: a node-private head and a cached
+// tail, reloaded through a fabric atomic only when the ring looks empty.
+type consumer struct {
+	r          *ring
+	head, tail uint64
+}
+
+// brokenPop is SPSCConsumer.TryPop with the torture harness's
 // ring-invalidate bug (SetBrokenSkipPopInvalidate) made unconditional:
 // the consumer observes the producer's tail publication but decodes the
 // slot through whatever stale lines its cache still holds.
-func (r *ring) brokenPop(n *fabric.Node, buf []byte) (int, bool) {
-	h := n.AtomicLoad64(r.headG)
-	if h == n.AtomicLoad64(r.tailG) {
-		return 0, false
+func (c *consumer) brokenPop(n *fabric.Node, buf []byte) (int, bool) {
+	r := c.r
+	if c.head == c.tail {
+		if c.tail = n.AtomicLoad64(r.tailG); c.head == c.tail {
+			return 0, false
+		}
 	}
-	s := r.slotG(h)
+	s := r.slotG(c.head)
 	ln := n.Load64(s) // want `no dominating InvalidateRange`
 	n.Read(s.Add(8), buf[:ln])
-	n.AtomicStore64(r.headG, h+1)
+	n.AtomicStore64(r.headG, c.head+1)
+	c.head++
 	return int(ln), true
 }
 
 // conditionalPop invalidates on only one branch — exactly the shape the
 // torture toggle gives the real ring; the skipping path is the bug.
-func (r *ring) conditionalPop(n *fabric.Node, buf []byte, broken bool) (int, bool) {
-	h := n.AtomicLoad64(r.headG)
-	if h == n.AtomicLoad64(r.tailG) {
-		return 0, false
+func (c *consumer) conditionalPop(n *fabric.Node, buf []byte, broken bool) (int, bool) {
+	r := c.r
+	if c.head == c.tail {
+		if c.tail = n.AtomicLoad64(r.tailG); c.head == c.tail {
+			return 0, false
+		}
 	}
-	s := r.slotG(h)
+	s := r.slotG(c.head)
 	if !broken {
-		n.InvalidateRange(s, r.slotSize)
+		n.InvalidateRange(s, fabric.LineSize)
 	}
 	ln := n.Load64(s) // want `no dominating InvalidateRange`
+	if end := 8 + ln; end > fabric.LineSize && !broken {
+		n.InvalidateRange(s.Add(fabric.LineSize), end-fabric.LineSize)
+	}
 	n.Read(s.Add(8), buf[:ln])
-	n.AtomicStore64(r.headG, h+1)
+	n.AtomicStore64(r.headG, c.head+1)
+	c.head++
 	return int(ln), true
 }
 
-// goodPop is the contract idiom: acquire, invalidate, then decode.
-func (r *ring) goodPop(n *fabric.Node, buf []byte) (int, bool) {
-	h := n.AtomicLoad64(r.headG)
-	if h == n.AtomicLoad64(r.tailG) {
-		return 0, false
+// goodPop is the contract idiom: acquire, invalidate the header line,
+// decode the length, invalidate the payload lines beyond it, then read.
+func (c *consumer) goodPop(n *fabric.Node, buf []byte) (int, bool) {
+	r := c.r
+	if c.head == c.tail {
+		if c.tail = n.AtomicLoad64(r.tailG); c.head == c.tail {
+			return 0, false
+		}
 	}
-	s := r.slotG(h)
-	n.InvalidateRange(s, r.slotSize)
+	s := r.slotG(c.head)
+	n.InvalidateRange(s, fabric.LineSize)
 	ln := n.Load64(s)
+	if end := 8 + ln; end > fabric.LineSize {
+		n.InvalidateRange(s.Add(fabric.LineSize), end-fabric.LineSize)
+	}
 	n.Read(s.Add(8), buf[:ln])
-	n.AtomicStore64(r.headG, h+1)
+	n.AtomicStore64(r.headG, c.head+1)
+	c.head++
 	return int(ln), true
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"time"
 
 	"flacos/internal/core"
@@ -132,9 +133,22 @@ func Trace(cfg TraceConfig) (*Result, bool) {
 		for j := 0; j < 8; j++ {
 			s.Wait(n0, s.Submit(n0, sched.Task{Fn: fn, Arg0: uint64(cell), Preferred: 1}))
 		}
+		// Submit only once node 1's worker has parked, so every measured
+		// task reaches it through the inbox announcement. A Submit that
+		// lands while the worker is still finishing the previous task can
+		// be seen through the queued counter before its announcement, and
+		// the worker then claims it with a whole-table scan; how often
+		// that happens is up to the host scheduler, not the code measured.
+		idle := func() {
+			for s.ParkedWorkers(1) == 0 {
+				runtime.Gosched()
+			}
+		}
+		idle()
 		before := f.Node(1).Stats()
 		for j := 0; j < cfg.Tasks; j++ {
 			s.Wait(n0, s.Submit(n0, sched.Task{Fn: fn, Arg0: uint64(cell), Preferred: 1}))
+			idle()
 		}
 		d := f.Node(1).Stats().Delta(before)
 		if rec != nil {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -35,6 +36,13 @@ type Fabric struct {
 	words []uint64 // home memory, accessed only with atomic word ops
 	size  uint64
 	nodes []*Node
+
+	// lines makes every whole-line transfer between a cache and home
+	// memory atomic with respect to every other: a fetch sees a line
+	// entirely before or entirely after a concurrent write-back, as a
+	// 64-byte transfer on a real interconnect does. Word atomics bypass
+	// it; they are single-word transfers.
+	lines [lineStripes]lineSeq
 
 	reserveMu  sync.Mutex
 	reserveOff uint64
@@ -152,11 +160,59 @@ func (f *Fabric) homeStoreWord(wordIdx uint64, v uint64) {
 	atomic.StoreUint64(&f.words[wordIdx], v)
 }
 
-// fetchLineHome copies the line with index li from home memory into dst.
+// lineStripes is how many sequence locks the home lines share. Each
+// covers a run of 1<<lineStripeShift consecutive lines, so a batched
+// write-back of a contiguous range takes one lock per run, not per line.
+const (
+	lineStripes     = 1024
+	lineStripeShift = 4
+)
+
+// lineSeq is one striped sequence lock over home lines: odd while a
+// write-back of one of its lines is in progress. It fills a host cache
+// line so neighbouring stripes do not contend.
+type lineSeq struct {
+	seq atomic.Uint64
+	_   [56]byte
+}
+
+// lineSeqOf returns the sequence lock covering line li.
+func (f *Fabric) lineSeqOf(li uint64) *lineSeq {
+	return &f.lines[(li>>lineStripeShift)%lineStripes]
+}
+
+// lockLine takes the write side of line li's sequence lock. Callers store
+// the line's words and then call unlock.
+func (f *Fabric) lockLine(li uint64) *lineSeq {
+	l := f.lineSeqOf(li)
+	for {
+		if s := l.seq.Load(); s&1 == 0 && l.seq.CompareAndSwap(s, s+1) {
+			return l
+		}
+		runtime.Gosched()
+	}
+}
+
+func (l *lineSeq) unlock() { l.seq.Add(1) }
+
+// fetchLineHome copies the line with index li from home memory into dst,
+// retrying until the copy overlapped no write-back of a line in its
+// stripe, so dst is one version of the whole line.
 func (f *Fabric) fetchLineHome(li uint64, dst *[LineSize]byte) {
+	l := f.lineSeqOf(li)
 	base := li * LineSize / WordSize
-	for w := uint64(0); w < LineSize/WordSize; w++ {
-		binary.LittleEndian.PutUint64(dst[w*WordSize:], f.homeLoadWord(base+w))
+	for {
+		s := l.seq.Load()
+		if s&1 != 0 {
+			runtime.Gosched()
+			continue
+		}
+		for w := uint64(0); w < LineSize/WordSize; w++ {
+			binary.LittleEndian.PutUint64(dst[w*WordSize:], f.homeLoadWord(base+w))
+		}
+		if l.seq.Load() == s {
+			return
+		}
 	}
 }
 
@@ -171,6 +227,8 @@ func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 		return 1 // the line silently never reaches home memory
 	}
 	base := li * LineSize / WordSize
+	l := f.lockLine(li)
+	defer l.unlock()
 	if f.faults.corruptRate.Load() == 0 {
 		// Fast path: with corruption disarmed the injector draws nothing
 		// from its PRNG, so skipping the per-word roll is observationally
@@ -202,12 +260,18 @@ func (f *Fabric) writeLineHome(li uint64, src *[LineSize]byte) (faults uint64) {
 // drop/corrupt draw happens in the same order as the per-line path.
 func (f *Fabric) writeLinesHome(buf []wbEntry) (faults uint64) {
 	if f.faults.dropRate.Load() == 0 && f.faults.corruptRate.Load() == 0 {
-		for i := range buf {
-			base := buf[i].li * LineSize / WordSize
-			src := &buf[i].data
-			for w := uint64(0); w < LineSize/WordSize; w++ {
-				f.homeStoreWord(base+w, binary.LittleEndian.Uint64(src[w*WordSize:]))
+		for i := 0; i < len(buf); {
+			// Ascending order puts lines that share a lock next to each
+			// other: commit each such run under one acquisition.
+			l := f.lockLine(buf[i].li)
+			for ; i < len(buf) && f.lineSeqOf(buf[i].li) == l; i++ {
+				base := buf[i].li * LineSize / WordSize
+				src := &buf[i].data
+				for w := uint64(0); w < LineSize/WordSize; w++ {
+					f.homeStoreWord(base+w, binary.LittleEndian.Uint64(src[w*WordSize:]))
+				}
 			}
+			l.unlock()
 		}
 		return 0
 	}

@@ -432,6 +432,51 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
+// TestBulkChargesExactUnderConcurrency pins the bulk-transfer ledger when
+// several goroutines drive one node at once: each bulk Read/Write is priced
+// from its own hits and misses, so interleaved bulk ops and atomics from
+// other goroutines neither vanish from the total nor get charged twice.
+// Each goroutine owns a disjoint region, so every op's price is fixed and
+// the node's total is exact whatever the interleaving.
+func TestBulkChargesExactUnderConcurrency(t *testing.T) {
+	lat := DefaultLatency()
+	f := New(Config{GlobalSize: 1 << 20, Nodes: 1, Latency: lat})
+	n := f.Node(0)
+	const (
+		workers = 4
+		lines   = 8
+		iters   = 300
+		region  = lines * LineSize
+	)
+	base := f.Reserve(workers*region, LineSize)
+	ctr := f.Reserve(LineSize, LineSize)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(g GPtr) {
+			defer wg.Done()
+			buf := make([]byte, region)
+			n.Read(g, buf) // cold: one pipelined burst, every line misses
+			for i := 0; i < iters; i++ {
+				buf[i%region] = byte(i)
+				n.Write(g, buf)                  // resident: every line hits
+				n.Read(g.Add(8), buf[:region-8]) // resident: every line hits
+				n.Add64(ctr, 1)
+			}
+		}(base.Add(uint64(w) * region))
+	}
+	wg.Wait()
+	atomic := lat.AtomicNS + n.Hops()*lat.HopNS
+	per := n.globalCost(lines) + iters*(2*lines*lat.LocalNS+atomic)
+	if got, want := n.VirtualNS(), uint64(workers*per); got != want {
+		t.Fatalf("node VirtualNS = %d, want exactly %d", got, want)
+	}
+	st := n.Stats()
+	if st.Misses != workers*lines || st.Atomics != workers*iters {
+		t.Fatalf("misses=%d atomics=%d, want %d and %d", st.Misses, st.Atomics, workers*lines, workers*iters)
+	}
+}
+
 func TestConcurrentAtomicCounter(t *testing.T) {
 	f := testFabric(t, 4)
 	g := f.Reserve(64, 64)
@@ -476,6 +521,40 @@ func TestConcurrentDisjointBulkWriters(t *testing.T) {
 		for j, b := range buf {
 			if b != byte(i+1) {
 				t.Fatalf("region %d byte %d = %d", i, j, b)
+			}
+		}
+	}
+}
+
+// A line moves between a cache and home memory as one unit: a fetch that
+// races a write-back of the same line sees the old line or the new one,
+// never words of both.
+func TestLineTransferAtomic(t *testing.T) {
+	f := testFabric(t, 2)
+	g := f.Reserve(LineSize, LineSize)
+	const rounds = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := f.Node(0)
+		for k := 1; k <= rounds; k++ {
+			w.Write(g, bytes.Repeat([]byte{byte(k)}, LineSize))
+			w.WriteBackRange(g, LineSize)
+		}
+	}()
+	r := f.Node(1)
+	buf := make([]byte, LineSize)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		r.InvalidateRange(g, LineSize)
+		r.Read(g, buf)
+		for i, b := range buf {
+			if b != buf[0] {
+				t.Fatalf("torn line: byte 0 = %d, byte %d = %d", buf[0], i, b)
 			}
 		}
 	}

@@ -89,6 +89,8 @@ func (f *Fabric) writeLineHomePerWord(li uint64, src *[LineSize]byte) (faults ui
 		return 1 // the line silently never reaches home memory
 	}
 	base := li * LineSize / WordSize
+	l := f.lockLine(li)
+	defer l.unlock()
 	for w := uint64(0); w < LineSize/WordSize; w++ {
 		v := binary.LittleEndian.Uint64(src[w*WordSize:])
 		if cv := f.faults.corruptOnWrite(v); cv != v {

@@ -63,8 +63,26 @@ func (n *Node) VirtualNS() uint64 { return n.stats.VirtualNS.Load() }
 
 func (n *Node) checkAlive() {
 	if n.crashed.Load() {
-		panic(fmt.Sprintf("fabric: operation on crashed node %d", n.id))
+		panic(crashPanic{node: n.id})
 	}
+}
+
+// crashPanic is the value a memory operation on a crashed node panics
+// with. It names the node, so code that absorbs crashes can recognize its
+// own node's crash even if the node has restarted since the panic.
+type crashPanic struct{ node int }
+
+func (c crashPanic) Error() string {
+	return fmt.Sprintf("fabric: operation on crashed node %d", c.node)
+}
+
+// IsCrashPanic reports whether r, a value recovered from a panic, is the
+// panic a memory operation on n raises while n is crashed. Absorb crashes
+// with it rather than by checking Crashed after the recover: the node may
+// restart between the panic and that check.
+func (n *Node) IsCrashPanic(r any) bool {
+	c, ok := r.(crashPanic)
+	return ok && c.node == n.id
 }
 
 // Crash simulates a node failure: every cache line that has not been
@@ -96,6 +114,19 @@ func (n *Node) CacheResidentLines() int { return n.cache.resident() }
 // line in from home memory on a miss. size must not cross a line boundary.
 // If write is true the line is marked dirty. It charges hit/miss latency.
 func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) {
+	if n.accessLine(g, size, write, fn) {
+		n.charge(n.globalCost(1))
+	} else {
+		n.charge(n.fab.lat.LocalNS)
+	}
+}
+
+// accessLine is withLine without the latency charge: it does the access,
+// counts it and reports whether it missed, so each caller prices its own
+// accesses. bulkAccess relies on that to charge a pipelined transfer from
+// its own hit and miss counts; the node-wide counters would also include
+// whatever other goroutines on this node did meanwhile.
+func (n *Node) accessLine(g GPtr, size uint64, write bool, fn func(data *[LineSize]byte, off uint64)) (miss bool) {
 	n.checkAlive()
 	n.fab.checkRange(g, size)
 	li := g.Line()
@@ -106,7 +137,7 @@ func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize
 	c := n.cache
 	c.mu.Lock()
 	ln := c.lookup(li)
-	miss := ln == nil
+	miss = ln == nil
 	var victimIdx uint64
 	var victim *cacheLine
 	if miss {
@@ -143,14 +174,13 @@ func (n *Node) withLine(g GPtr, size uint64, write bool, fn func(data *[LineSize
 	}
 	if miss {
 		n.stats.Misses.Add(1)
-		n.charge(n.globalCost(1))
 		if n.hooked.Load() {
 			n.fireOp(OpMiss, li, 0)
 		}
 	} else {
 		n.stats.Hits.Add(1)
-		n.charge(n.fab.lat.LocalNS)
 	}
+	return miss
 }
 
 func (n *Node) checkAligned(g GPtr, size uint64) {
@@ -220,41 +250,32 @@ func (n *Node) Store64(g GPtr, v uint64) {
 // missed lines stream at PerLineNS after the first line's full latency,
 // hit lines cost local accesses. This models how real interconnects move
 // bulk data (pipelined line fetches), unlike the independent-miss charging
-// of the word-granularity ops.
+// of the word-granularity ops. The price comes from this call's own hit
+// and miss counts, so concurrent goroutines on the node never shift
+// charges between each other's operations.
 func (n *Node) bulkAccess(g GPtr, total uint64, write bool, fn func(d *[LineSize]byte, off, done, chunk uint64)) {
 	n.checkAlive()
 	n.fab.checkRange(g, total)
-	missBefore := n.stats.Misses.Load()
-	hitBefore := n.stats.Hits.Load()
-	nsBefore := n.stats.VirtualNS.Load()
+	misses, hits := 0, 0
 	done := uint64(0)
 	for done < total {
 		cur := g.Add(done)
 		inLine := LineSize - uint64(cur)%LineSize
 		chunk := min(inLine, total-done)
-		n.withLine(cur, chunk, write, func(d *[LineSize]byte, off uint64) {
+		if n.accessLine(cur, chunk, write, func(d *[LineSize]byte, off uint64) {
 			fn(d, off, done, chunk)
-		})
+		}) {
+			misses++
+		} else {
+			hits++
+		}
 		done += chunk
 	}
-	// Replace the per-line charges accrued inside withLine with one
-	// aggregate pipelined cost.
-	perLine := n.stats.VirtualNS.Load() - nsBefore
-	misses := n.stats.Misses.Load() - missBefore
-	hits := n.stats.Hits.Load() - hitBefore
-	agg := 0
+	agg := hits * n.fab.lat.LocalNS
 	if misses > 0 {
-		agg += n.globalCost(int(misses))
+		agg += n.globalCost(misses)
 	}
-	if hits > 0 {
-		agg += int(hits) * n.fab.lat.LocalNS
-	}
-	if n.fab.lat.Mode != LatencyOff {
-		// Undo the inline charge, apply the aggregate (accounting only; in
-		// spin mode the inline spin already approximates the cost and we
-		// simply correct the ledger).
-		n.stats.VirtualNS.Add(uint64(agg) - perLine)
-	}
+	n.charge(agg)
 }
 
 // Read copies len(buf) bytes starting at g into buf, through the cache,

@@ -93,12 +93,20 @@ func TestMPSCRingHistoryLinearizable(t *testing.T) {
 			defer wg.Done()
 			n := f.Node(pr)
 			buf := make([]byte, 8)
-			for i := 0; i < each; i++ {
+			// Each push is recorded over its successful TryPush attempt:
+			// a failed attempt leaves the ring unchanged, and a blocking
+			// Push spanning every spin on a full ring would overlap so
+			// many operations that the checker's search explodes.
+			for i := 0; i < each; {
 				v := uint64(pr)*1_000_000 + uint64(i) + 1
 				binary.LittleEndian.PutUint64(buf, v)
 				p := rec.Begin(pr, histcheck.QueueInput{Op: histcheck.QueuePush, Val: v})
-				r.Push(n, buf)
+				if !r.TryPush(n, buf) {
+					runtime.Gosched()
+					continue
+				}
 				p.End(histcheck.QueueOutput{})
+				i++
 			}
 		}(pr)
 	}

@@ -86,7 +86,10 @@ func (c *VersionedCell) Write(p *Participant, a Allocator, data []byte) {
 
 // Update atomically transforms the cell: it reads the current version,
 // calls fn to produce the next contents in place, and publishes it; on CAS
-// failure (a concurrent writer won) it retries with the fresh version.
+// failure (a concurrent writer won) it retries with the fresh version. The
+// read section spans the CAS: otherwise the version read could be retired,
+// reclaimed and republished at the same address before the CAS, which
+// would then succeed against contents it never read (ABA).
 func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte)) {
 	n := p.n
 	buf := make([]byte, c.size)
@@ -95,12 +98,13 @@ func (c *VersionedCell) Update(p *Participant, a Allocator, fn func(cur []byte))
 		oldG := fabric.GPtr(n.AtomicLoad64(c.headG))
 		n.InvalidateRange(oldG, c.size)
 		n.Read(oldG, buf)
-		p.Exit()
 		fn(buf)
 		v := allocVersion(a, c.size, true)
 		n.Write(v, buf)
 		n.WriteBackRange(v, c.size)
-		if n.CAS64(c.headG, uint64(oldG), uint64(v)) {
+		won := n.CAS64(c.headG, uint64(oldG), uint64(v))
+		p.Exit()
+		if won {
 			p.Retire(func() { a.Free(oldG) })
 			return
 		}

@@ -382,16 +382,23 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 
 		for {
 			newFrame := m.fs.frames.AllocUninit(n)
-			if po != 0 || chunk != PageSize {
-				// Partial page: start from the current version (or zeros).
-				cur := make([]byte, PageSize)
+			var readFK uint64 // the version a partial write started from
+			readOK := false
+			partial := po != 0 || chunk != PageSize
+			if partial {
+				// Partial page: start from the current version (or zeros),
+				// and install only over that same version, so a concurrent
+				// writer's update to the page is never lost. The section
+				// spans the install, so the version read cannot be
+				// reclaimed and reused at the same frame before the CAS.
 				m.part.Enter()
+				cur := make([]byte, PageSize)
 				phys, hole := m.lookupFrame(id, page)
 				if !hole {
 					n.InvalidateRange(fabric.GPtr(phys), PageSize)
 					n.Read(fabric.GPtr(phys), cur)
+					readFK, readOK = phys>>memsys.PageShift, true
 				}
-				m.part.Exit()
 				copy(cur[po:], data[done:done+chunk])
 				n.Write(fabric.GPtr(newFrame), cur)
 			} else {
@@ -402,10 +409,16 @@ func (m *Mount) Write(id uint64, off uint64, data []byte) (int, error) {
 
 			oldFK, exists := m.fs.index.Get(n, key)
 			installed := false
-			if exists {
+			switch {
+			case partial && (exists != readOK || oldFK != readFK):
+				// The page changed since the read: retry from its new version.
+			case exists:
 				installed = m.fs.index.CompareAndSwap(n, key, oldFK, newFrame>>memsys.PageShift)
-			} else {
+			default:
 				_, installed = m.fs.index.PutIfAbsent(n, key, newFrame>>memsys.PageShift)
+			}
+			if partial {
+				m.part.Exit()
 			}
 			if installed {
 				if exists {

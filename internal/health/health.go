@@ -311,7 +311,7 @@ func (a *Agent) loop() {
 	defer a.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			if a.n.Crashed() {
+			if a.n.IsCrashPanic(r) {
 				return // this agent died with its node
 			}
 			panic(r)

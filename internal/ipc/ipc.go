@@ -209,7 +209,7 @@ func (l *Listener) Accept() *Conn {
 	idx := binary.LittleEndian.Uint64(buf[:ln])
 	slot := &l.ep.sb.conns[idx]
 	n.AtomicStore64(slot.stateG, connEstablished)
-	return &Conn{node: n, slot: slot, server: true}
+	return newConn(n, slot, true)
 }
 
 // lookup resolves a name through the replicated registry.
@@ -252,16 +252,30 @@ func (e *Endpoint) Connect(name string) (*Conn, error) {
 	if n.AtomicLoad64(slot.stateG) != connEstablished {
 		return nil, ErrClosed
 	}
-	return &Conn{node: n, slot: slot, server: false}, nil
+	return newConn(n, slot, false), nil
 }
 
 // Conn is one side of an established channel. Each side must be driven by
 // a single goroutine (the rings are single-producer/single-consumer), the
 // usual discipline for a socket.
+//
+// The Conn holds this side's producer end of its send ring and consumer
+// end of its receive ring. Their cached cursors are node-private state of
+// this Conn, never of the shared slot, so a recycled slot's next Conn
+// starts from cursors loaded fresh from home memory.
 type Conn struct {
 	node   *fabric.Node
 	slot   *connSlot
 	server bool
+	send   ds.SPSCProducer
+	recv   ds.SPSCConsumer
+}
+
+func newConn(n *fabric.Node, slot *connSlot, server bool) *Conn {
+	c := &Conn{node: n, slot: slot, server: server}
+	c.send = c.sendRing().Producer()
+	c.recv = c.recvRing().Consumer()
+	return c
 }
 
 func (c *Conn) sendRing() *ds.SPSCRing {
@@ -285,7 +299,7 @@ func (c *Conn) Send(msg []byte) error {
 		if c.node.AtomicLoad64(c.slot.stateG) != connEstablished {
 			return ErrClosed
 		}
-		if c.sendRing().TryPush(c.node, msg) {
+		if c.send.TryPush(c.node, msg) {
 			return nil
 		}
 		runtime.Gosched()
@@ -295,12 +309,12 @@ func (c *Conn) Send(msg []byte) error {
 // Recv receives the next message into buf, returning its length.
 func (c *Conn) Recv(buf []byte) (int, error) {
 	for {
-		if n, ok := c.recvRing().TryPop(c.node, buf); ok {
+		if n, ok := c.recv.TryPop(c.node, buf); ok {
 			return n, nil
 		}
 		if c.node.AtomicLoad64(c.slot.stateG) != connEstablished {
 			// Drain anything that raced with close.
-			if n, ok := c.recvRing().TryPop(c.node, buf); ok {
+			if n, ok := c.recv.TryPop(c.node, buf); ok {
 				return n, nil
 			}
 			return 0, ErrClosed

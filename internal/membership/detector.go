@@ -76,7 +76,7 @@ func (m *Member) agentLoop() {
 	defer m.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			if m.n.Crashed() {
+			if m.n.IsCrashPanic(r) {
 				return // this agent died with its node
 			}
 			panic(r)

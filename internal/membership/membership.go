@@ -455,7 +455,7 @@ func (m *Member) heartbeatLoop() {
 	defer m.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			if m.n.Crashed() {
+			if m.n.IsCrashPanic(r) {
 				return // the beat freezes exactly at the crash
 			}
 			panic(r)

@@ -49,19 +49,50 @@ type MMUStatsSnapshot struct {
 // shootdown touched this MMU mid-store, so the translation held for the
 // whole store and the expensive page-table re-walk can be skipped — the
 // software analogue of a core that re-checks its mapping only after a
-// shootdown IPI, not after every store.
+// shootdown IPI, not after every store. When the generation did move, a
+// TLB that still holds the store's own translation proves that the
+// invalidations were for other pages.
 type tlb struct {
 	gen atomic.Uint64
 	mu  sync.Mutex
 	cap int
 	m   map[uint64]PTE
+	// fills maps a vpn to the token of the page-table walk that may
+	// cache its result; invalidating the vpn revokes it.
+	fills    map[uint64]uint64
+	lastFill uint64
 }
 
 func newTLB(capacity int) *tlb {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &tlb{cap: capacity, m: make(map[uint64]PTE)}
+	return &tlb{cap: capacity, m: make(map[uint64]PTE), fills: make(map[uint64]uint64)}
+}
+
+// beginFill registers a page-table walk of vpn and returns the token its
+// put must present. A later walk of the same vpn supersedes it.
+func (t *tlb) beginFill(vpn uint64) uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.lastFill++
+	t.fills[vpn] = t.lastFill
+	return t.lastFill
+}
+
+// endFill withdraws a walk that ends without caching anything.
+func (t *tlb) endFill(vpn, token uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.fills[vpn] == token {
+		delete(t.fills, vpn)
+	}
+}
+
+// holds reports whether the TLB still caches exactly p for vpn.
+func (t *tlb) holds(vpn uint64, p PTE) bool {
+	q, ok := t.get(vpn)
+	return ok && q == p
 }
 
 func (t *tlb) get(vpn uint64) (PTE, bool) {
@@ -71,9 +102,18 @@ func (t *tlb) get(vpn uint64) (PTE, bool) {
 	return p, ok
 }
 
-func (t *tlb) put(vpn uint64, p PTE) {
+// put caches p for vpn unless vpn was invalidated since the walk that
+// produced p began (beginFill returned token). A shootdown that lands
+// between the walk and the fill would otherwise be undone by the fill,
+// leaving a translation to a frame the page table no longer maps; a real
+// core takes the IPI between the two, never in the middle of a fill.
+func (t *tlb) put(vpn uint64, p PTE, token uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.fills[vpn] != token {
+		return
+	}
+	delete(t.fills, vpn)
 	if len(t.m) >= t.cap {
 		for k := range t.m { // arbitrary eviction
 			delete(t.m, k)
@@ -85,8 +125,9 @@ func (t *tlb) put(vpn uint64, p PTE) {
 
 func (t *tlb) invalidate(vpn uint64) {
 	t.mu.Lock()
-	t.gen.Add(1) // bump BEFORE the delete: an unchanged gen observed by a
+	t.gen.Add(1)     // bump BEFORE the delete: an unchanged gen observed by a
 	delete(t.m, vpn) // store proves the invalidation had not begun
+	delete(t.fills, vpn)
 	t.mu.Unlock()
 }
 
@@ -94,6 +135,7 @@ func (t *tlb) flush() {
 	t.mu.Lock()
 	t.gen.Add(1)
 	t.m = make(map[uint64]PTE)
+	t.fills = make(map[uint64]uint64)
 	t.mu.Unlock()
 }
 
@@ -229,11 +271,13 @@ func (m *MMU) translate(vpn uint64, write bool) (PTE, error) {
 	}
 	m.stats.TLBMisses.Add(1)
 	for {
+		token := m.tlb.beginFill(vpn)
 		p := PTE(m.space.pt.Get(m.node, vpn))
 		switch {
 		case !p.Valid():
 			var err error
 			if p, err = m.demandFault(vpn); err != nil {
+				m.tlb.endFill(vpn, token)
 				return 0, err
 			}
 			continue // re-check the installed entry
@@ -244,12 +288,13 @@ func (m *MMU) translate(vpn uint64, write bool) (PTE, error) {
 			m.breakCOW(vpn, p)
 			continue
 		case write && !p.Writable():
+			m.tlb.endFill(vpn, token)
 			return 0, &MapError{Op: "write", VA: vpn << PageShift, Why: "read-only mapping"}
 		case !p.Global() && m.nodeOf(p) != m.node.ID():
 			m.migrateToGlobal(vpn, p)
 			continue
 		default:
-			m.tlb.put(vpn, p)
+			m.tlb.put(vpn, p, token)
 			m.sample(vpn, write)
 			return p, nil
 		}
@@ -456,8 +501,11 @@ func (m *MMU) Read(va uint64, buf []byte) error {
 // would otherwise absorb the data into a frame about to be shared or
 // abandoned. The check is two-level, like real hardware: the TLB
 // invalidation generation is snapshotted before translating, and only if
-// an invalidation hit this MMU during the store is the page table
-// re-walked (the retry a core performs after a shootdown IPI). This is
+// an invalidation hit this MMU during the store, and the TLB no longer
+// holds this page's translation, is the page table re-walked (the retry a
+// core performs after a shootdown IPI). Checking the page's own entry
+// keeps the store's cost independent of when other pages' shootdowns
+// happen to land. This is
 // sound because every PTE-changing path invalidates TLBs, and the
 // frame-moving paths purge ALL TLBs before copying the old frame
 // (unmap-before-copy): a store that passed the generation check either
@@ -474,7 +522,7 @@ func (m *MMU) Write(va uint64, data []byte) error {
 			return err
 		}
 		m.writeFrame(p, off, data[done:done+int(chunk)])
-		if m.tlb.gen.Load() != gen && PTE(m.space.pt.Get(m.node, vpn)) != p {
+		if m.tlb.gen.Load() != gen && !m.tlb.holds(vpn, p) && PTE(m.space.pt.Get(m.node, vpn)) != p {
 			m.tlb.invalidate(vpn)
 			continue // mapping changed under the store: redo this chunk
 		}

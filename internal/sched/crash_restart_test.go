@@ -85,3 +85,56 @@ func TestCrashRestartSameNodeNoResurrection(t *testing.T) {
 		t.Fatalf("post-restart task ran on node %d, want 1 (the rebooted node)", got-1)
 	}
 }
+
+// TestRebootReclaimsDeadIncarnationLeases: a node crashes mid-task and
+// restarts before any keeper probe expires its lease (the probe window
+// here is effectively infinite, and no membership sweep runs). The
+// runner died with the crash, and the rebooted node's keeper would renew
+// the orphaned lease forever, so RebootNode itself must reclaim it.
+func TestRebootReclaimsDeadIncarnationLeases(t *testing.T) {
+	f := testFabric(2)
+	s := testSched(t, f, Config{
+		Policy: PolicyLocality, LocalitySlack: 1 << 40, WorkersPerNode: 1,
+		ProbeRounds: 1 << 30, ReclaimTick: 100 * time.Microsecond, IdleTick: 100 * time.Microsecond,
+		StealGrace: time.Hour,
+	})
+	started := make(chan int, 4)
+	release := make(chan struct{})
+	exited := make(chan struct{}, 4)
+	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
+		defer func() { exited <- struct{}{} }() // also on the crash panic
+		started <- n.ID()
+		<-release
+		n.Load64(fabric.GPtr(arg0))
+	})
+	s.Start()
+
+	n0 := f.Node(0)
+	cell := cells(f, 1)
+	h := s.Submit(n0, Task{Fn: fn, Arg0: uint64(cell), Preferred: 1, DoneCell: cell})
+	if id := <-started; id != 1 {
+		t.Fatalf("task started on node %d, want 1", id)
+	}
+	f.Node(1).Crash()
+	close(release)
+	<-exited // the runner touched the fabric and died with its node
+	f.Node(1).Restart()
+	s.RebootNode(1)
+
+	waited := make(chan bool, 1)
+	go func() { waited <- s.Wait(n0, h) }()
+	select {
+	case ok := <-waited:
+		if !ok {
+			t.Fatal("Wait aborted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("task orphaned by the crash never completed after RebootNode")
+	}
+	if c := n0.AtomicLoad64(cell); c != 1 {
+		t.Fatalf("completion cell = %d, want 1", c)
+	}
+	if st := s.StatsFrom(n0); st.Reclaimed != 1 {
+		t.Fatalf("reclaimed = %d, want 1", st.Reclaimed)
+	}
+}

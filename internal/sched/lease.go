@@ -33,7 +33,7 @@ func (s *Scheduler) keeper(id int) {
 	n := s.fab.Node(id)
 	defer func() {
 		if r := recover(); r != nil {
-			if n.Crashed() {
+			if n.IsCrashPanic(r) {
 				return // heartbeat freezes exactly at the crash
 			}
 			panic(r)

@@ -159,6 +159,7 @@ type Scheduler struct {
 	localQ  []chan LocalTask
 	inboxMu []sync.Mutex // node-private consumer locks
 	notify  []chan struct{}
+	parked  []atomic.Int32 // per node: workers blocked waiting for work
 
 	// liveness is the membership layer's oracle (nil = crash checks
 	// only); notServing gates a joining node's pull paths (see
@@ -230,6 +231,7 @@ func New(f *fabric.Fabric, cfg Config) *Scheduler {
 	s.localQ = make([]chan LocalTask, nn)
 	s.inboxMu = make([]sync.Mutex, nn)
 	s.notify = make([]chan struct{}, nn)
+	s.parked = make([]atomic.Int32, nn)
 	for i := 0; i < nn; i++ {
 		s.inboxes[i] = ds.NewMPSCRing(f, f.Node(0), cfg.InboxCap, 8)
 		s.localQ[i] = make(chan LocalTask, cfg.LocalQueueCap)
@@ -282,11 +284,14 @@ func (s *Scheduler) Stop() {
 
 // RebootNode spawns a fresh worker pool and keeper for node id after a
 // fabric.Node Restart. The node rejoins the rack under its original ID:
-// its new keeper resumes advancing the same heartbeat word, and any task
-// the pre-crash incarnation still thinks it owns was fenced by the
-// attempt bump when its lease was reclaimed, so a stale completion CAS
-// cannot resurrect it. Call only after the node has been restarted and
-// only while the scheduler is running.
+// its new keeper resumes advancing the same heartbeat word. Before that,
+// it reclaims every task still Running under its ID: the pre-crash
+// workers died holding those leases, and a restart that beats both the
+// keepers' expiry probe and a membership Dead sweep would otherwise have
+// the new keeper renew them forever. The attempt bump fences any
+// pre-crash runner that is still executing, so a stale completion CAS
+// cannot resurrect its task. Call only after the node has been restarted
+// and only while the scheduler is running.
 func (s *Scheduler) RebootNode(id int) {
 	if !s.started.Load() {
 		return
@@ -296,6 +301,7 @@ func (s *Scheduler) RebootNode(id int) {
 		return
 	default:
 	}
+	s.ReclaimNode(s.fab.Node(id), id)
 	for w := 0; w < s.cfg.WorkersPerNode; w++ {
 		s.wg.Add(1)
 		go s.worker(id)
@@ -313,6 +319,13 @@ func (s *Scheduler) wake(id int) {
 	default:
 	}
 }
+
+// ParkedWorkers returns how many of node id's workers are blocked
+// waiting for a doorbell, a local task or the idle tick. A caller that
+// submits only once every worker of the target is parked makes each task
+// reach its worker through the inbox announcement, never through a table
+// scan that raced the submission.
+func (s *Scheduler) ParkedWorkers(id int) int { return int(s.parked[id].Load()) }
 
 // Submit places t on the global run queue from node `from` and returns
 // a Handle for Wait. It blocks (bounded queue) while the table is full.

@@ -248,3 +248,30 @@ func TestBoundedTableBlocksThenRecovers(t *testing.T) {
 		t.Fatalf("completed %d of 64 through an 8-slot table", st.Completed)
 	}
 }
+
+func TestParkedWorkersTracksIdleWorkers(t *testing.T) {
+	f := testFabric(2)
+	s := testSched(t, f, Config{WorkersPerNode: 2, IdleTick: time.Second})
+	release := make(chan struct{})
+	fn := s.Register(func(n *fabric.Node, arg0, arg1 uint64) { <-release })
+	s.Start()
+	waitParked := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.ParkedWorkers(1) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("ParkedWorkers(1) = %d, want %d", s.ParkedWorkers(1), want)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	waitParked(2)
+	n0 := f.Node(0)
+	h := s.Submit(n0, Task{Fn: fn, Preferred: 1})
+	waitParked(1) // one worker runs the blocked task, the other parks again
+	close(release)
+	if !s.Wait(n0, h) {
+		t.Fatal("Wait aborted")
+	}
+	waitParked(2)
+}

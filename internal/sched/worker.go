@@ -19,7 +19,7 @@ func (s *Scheduler) worker(id int) {
 	n := s.fab.Node(id)
 	defer func() {
 		if r := recover(); r != nil {
-			if n.Crashed() {
+			if n.IsCrashPanic(r) {
 				return // this CPU died with its node
 			}
 			panic(r)
@@ -64,12 +64,16 @@ func (s *Scheduler) worker(id int) {
 			}
 		}
 		timer.Reset(s.cfg.IdleTick)
+		s.parked[id].Add(1)
+		var t LocalTask
 		select {
-		case <-s.stop:
-			return
+		case <-s.stop: // the loop's top returns
 		case <-s.notify[id]:
 		case <-timer.C:
-		case t := <-s.localQ[id]:
+		case t = <-s.localQ[id]:
+		}
+		s.parked[id].Add(-1)
+		if t != nil {
 			t(n)
 			s.localRun.Add(1)
 			s.localDone.Add(1)

@@ -231,7 +231,7 @@ func (e *Env) Rand(stream uint64) *rand.Rand {
 func (e *Env) RunOp(n *fabric.Node, fn func()) (completed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			if n.Crashed() {
+			if n.IsCrashPanic(r) {
 				completed = false
 				return
 			}

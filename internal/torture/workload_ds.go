@@ -170,13 +170,15 @@ func (w *dsWorkload) mapReader(env *Env, node int) {
 	}
 }
 
-// ringProducer pushes OpsPerClient sequenced messages into its ring. The
-// tail publication is TryPush's last fabric op, so a crashed push either
-// fully landed (the op then reports complete) or left nothing visible —
-// retrying is exact, never duplicating.
+// ringProducer pushes OpsPerClient sequenced messages into its ring
+// through one long-lived producer end, so crash and degrade sweeps cover
+// its cached cursors. The tail publication is TryPush's last fabric op
+// and the end advances its private tail only after it, so a crashed push
+// either fully landed (the op then reports complete) or left nothing
+// visible and the end unchanged — retrying is exact, never duplicating.
 func (w *dsWorkload) ringProducer(env *Env, node int) {
 	n := env.Fab.Node(node)
-	r := w.rings[node]
+	r := w.rings[node].Producer()
 	buf := make([]byte, ringMsgBytes)
 	for seq := uint64(1); seq <= uint64(env.Cfg.OpsPerClient); seq++ {
 		fillRingMsg(buf, node, seq)
@@ -198,12 +200,12 @@ func (w *dsWorkload) ringProducer(env *Env, node int) {
 	}
 }
 
-// ringConsumer drains ring (node-1+N)%N, checking strict FIFO and the
-// per-sequence payload pattern.
+// ringConsumer drains ring (node-1+N)%N through one long-lived consumer
+// end, checking strict FIFO and the per-sequence payload pattern.
 func (w *dsWorkload) ringConsumer(env *Env, node int) {
 	ringID := (node - 1 + env.Cfg.Nodes) % env.Cfg.Nodes
 	n := env.Fab.Node(node)
-	r := w.rings[ringID]
+	r := w.rings[ringID].Consumer()
 	ci := 0x400 + node
 	buf := make([]byte, ringMsgBytes)
 	myViols := 0

@@ -3,6 +3,7 @@ package torture
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"sync/atomic"
 
 	"flacos/internal/flacdk/alloc"
@@ -30,6 +31,12 @@ import (
 // With shootdowns intact, a stable PTE guarantees the read went through
 // the live frame; with shootdowns broken (-torture-break shootdown), the
 // stale TLB path bypasses the page table entirely and the checker fires.
+//
+// Writers start only after the dedup client's first pass has merged the
+// initial identical pairs, so their first stores break COW on merged
+// frames and remap pages while readers hold translations to them. Left to
+// the host scheduler, the dedup client could start after the writers had
+// finished, and the run would then remap nothing.
 type memsysWorkload struct {
 	frames *memsys.GlobalFrames
 	space  *memsys.Space
@@ -39,6 +46,9 @@ type memsysWorkload struct {
 	finalVer []uint64        // per page, writer's final version
 	merges   atomic.Uint64
 	pp       int // pages per writer (pairs of two)
+
+	primed    chan struct{} // closed once the first DedupPass has run
+	primeOnce sync.Once
 }
 
 func newMemsysWorkload() *memsysWorkload { return &memsysWorkload{pp: 4} }
@@ -87,6 +97,8 @@ func (w *memsysWorkload) Prepare(env *Env) {
 	}
 	w.pub = make([]atomic.Uint64, totalPages)
 	w.finalVer = make([]uint64, totalPages)
+	w.primed = make(chan struct{})
+	w.primeOnce = sync.Once{}
 	// Pre-fault every page at v1 from node 0: installs all PTEs (and the
 	// radix interior nodes), so no client ever demand-faults concurrently
 	// through a shared node allocator.
@@ -124,6 +136,7 @@ func (w *memsysWorkload) writer(env *Env, node int) {
 	for j := range vers {
 		vers[j] = 1
 	}
+	<-w.primed
 	for completed := 0; completed < env.Cfg.OpsPerClient; {
 		pair := rng.Intn(w.pp / 2)
 		base := node*w.pp + pair*2
@@ -214,12 +227,15 @@ func (w *memsysWorkload) reader(env *Env, node int) {
 // dedupClient lives on node 0 (never a crash victim, so a pass is never
 // killed halfway) and alternates DedupPass with header reads.
 func (w *memsysWorkload) dedupClient(env *Env) {
+	prime := func() { w.primeOnce.Do(func() { close(w.primed) }) }
+	defer prime() // a client that dies early must not strand the writers
 	rng := env.Rand(0x90)
 	n := env.Fab.Node(0)
 	totalPages := len(w.pub)
 	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
 		if completed%4 == 0 {
 			env.RunOp(n, func() { w.merges.Add(uint64(w.mmus[0].DedupPass())) })
+			prime()
 		} else {
 			p := rng.Intn(totalPages)
 			v0 := w.pub[p].Load()
