@@ -3,21 +3,18 @@ package core
 import (
 	"sync"
 
-	"flacos/internal/fabric"
+	"flacos/internal/health"
 	"flacos/internal/membership"
-	"flacos/internal/redis"
-	"flacos/internal/serverless"
-	"flacos/internal/trace"
 )
 
 // membershipState is the rack's membership wiring: the table, each
-// node's member handle, and the dedup set that makes the rack-wide
+// node's member handle, and the Dead sweep that makes the rack-wide
 // event stream drive recovery exactly once per death.
 type membershipState struct {
-	mu       sync.Mutex
-	table    *membership.Table
-	members  []*membership.Member
-	deadSeen map[[2]uint64]bool // {slot, generation} -> recovery ran
+	mu      sync.Mutex
+	table   *membership.Table
+	members []*membership.Member
+	sweep   *health.DeadSweep
 }
 
 // EnableMembership boots the coordinated failure-detection layer
@@ -33,9 +30,10 @@ type membershipState struct {
 //   - every serverless control plane re-places the dead node's warm
 //     containers on live nodes.
 //
-// Recovery is deduplicated on (slot, generation): every live member's
-// agent observes the same transition, but only the first delivery acts.
-// Idempotent; later calls return the same table.
+// Recovery is health.DeadSweep, deduplicated on (slot, generation):
+// every live member's agent observes the same transition, but only the
+// first live observer's delivery acts. Idempotent; later calls return
+// the same table.
 func (r *Rack) EnableMembership(cfg membership.Config) *membership.Table {
 	r.mem.mu.Lock()
 	if r.mem.table != nil {
@@ -45,7 +43,7 @@ func (r *Rack) EnableMembership(cfg membership.Config) *membership.Table {
 	}
 	table := membership.New(r.Fabric, cfg)
 	r.mem.table = table
-	r.mem.deadSeen = make(map[[2]uint64]bool)
+	r.mem.sweep = health.NewDeadSweep(r.sweepGates)
 	r.mem.mu.Unlock()
 
 	r.Scheduler().SetLiveness(table.Alive)
@@ -63,7 +61,7 @@ func (r *Rack) EnableMembership(cfg membership.Config) *membership.Table {
 		if err := m.Activate(); err != nil {
 			panic("core: membership boot activate failed: " + err.Error())
 		}
-		m.Subscribe(func(ev membership.Event) { r.onMembershipEvent(n, ev) })
+		m.Subscribe(func(ev membership.Event) { r.mem.sweep.Dead(n, ev) })
 		m.Start()
 		members[i] = m
 	}
@@ -81,52 +79,21 @@ func (r *Rack) Membership() *membership.Table {
 	return r.mem.table
 }
 
-// onMembershipEvent runs on a member agent's goroutine for every
-// rack-wide transition that agent observed. Only Dead needs action here
-// (Join/Suspect/Alive/Left are already in the control table and the
-// flight recorder); recovery runs once per (slot, generation) from the
-// first observer to deliver it.
-func (r *Rack) onMembershipEvent(observer *fabric.Node, ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
+// sweepGates is what the Dead sweep remediates through, read per sweep:
+// the store and the serverless control planes may boot after
+// membership, and membership recovery must not boot them itself.
+func (r *Rack) sweepGates() health.SweepGates {
+	g := health.SweepGates{Sched: r.Scheduler()}
+	if r.redisBooted.Load() {
+		g.Store = r.redis
 	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	r.mem.mu.Lock()
-	done := r.mem.deadSeen[key]
-	r.mem.deadSeen[key] = true
-	r.mem.mu.Unlock()
-	if done || observer.Crashed() {
-		return
-	}
-	// Lease reclaim first: queued work restarts fastest. The sweep runs
-	// from the observing node; a concurrent keeper expiry of the same
-	// slot is harmless (both paths CAS, one wins).
-	r.Scheduler().ReclaimNode(observer, ev.Node)
-	// Fence the store at the dead generation so the zombie's writes
-	// bounce before any client can observe them.
-	if store := r.redisIfBooted(); store != nil {
-		store.FenceNode(observer, ev.Node, ev.Generation)
-		if t := r.Trace(); t != nil {
-			t.Writer(observer.ID()).Emit(trace.SubRedis, trace.KViewFence, 0, uint64(ev.Node), ev.Generation)
-		}
-	}
-	// Re-place the dead node's containers on live nodes.
 	r.ctlMu.Lock()
-	ctls := make([]*serverless.Controller, len(r.ctls))
-	copy(ctls, r.ctls)
+	for _, ctl := range r.ctls {
+		g.Serverless = append(g.Serverless, ctl)
+	}
 	r.ctlMu.Unlock()
-	for _, ctl := range ctls {
-		ctl.EvictNode(ev.Node)
-	}
-}
-
-// redisIfBooted returns the rack store only if RedisStore has already
-// run — membership recovery must not boot subsystems as a side effect.
-func (r *Rack) redisIfBooted() *redis.RackStore {
-	if !r.redisBooted.Load() {
-		return nil
-	}
-	return r.redis
+	g.Trace = r.Trace()
+	return g
 }
 
 // StopMembership halts every member's goroutines (Shutdown calls this).

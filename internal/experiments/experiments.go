@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"flacos/internal/loadgen"
 	"flacos/internal/metrics"
@@ -96,8 +97,13 @@ func (r *Result) String() string {
 	out := "== " + r.Name + " ==\n" + r.Table.String()
 	if len(r.Ratios) > 0 {
 		out += "headline ratios:\n"
-		for k, v := range r.Ratios {
-			out += fmt.Sprintf("  %-32s %.2fx\n", k, v)
+		keys := make([]string, 0, len(r.Ratios))
+		for k := range r.Ratios {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			out += fmt.Sprintf("  %-32s %.2fx\n", k, r.Ratios[k])
 		}
 	}
 	return out

@@ -28,6 +28,18 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
+// TestFig4Deterministic: Fig 4 prices every request on the virtual
+// clock, so two runs must print byte-identical rows and ratios, in the
+// same order.
+func TestFig4Deterministic(t *testing.T) {
+	cfg := DefaultFig4()
+	cfg.Requests = 60
+	a, b := Fig4(cfg).String(), Fig4(cfg).String()
+	if a != b {
+		t.Fatalf("two Fig4 runs differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
 func TestContainerShape(t *testing.T) {
 	cfg := DefaultContainer()
 	cfg.ImageBytes = 64 << 20 // keep the test fast

@@ -41,11 +41,14 @@ func Fig4(cfg Fig4Config) *Result {
 	for _, size := range cfg.ValueSizes {
 		for _, transport := range []string{"tcp", "flacos-ipc"} {
 			setH, getH := runRedisPair(transport, size, cfg.Requests)
-			for op, h := range map[string]*metrics.Histogram{"set": setH, "get": getH} {
-				s := h.Summarize()
-				key := fmt.Sprintf("%s/%d/%s", op, size, transport)
+			for _, row := range []struct {
+				op string
+				h  *metrics.Histogram
+			}{{"set", setH}, {"get", getH}} {
+				s := row.h.Summarize()
+				key := fmt.Sprintf("%s/%d/%s", row.op, size, transport)
 				results[key] = cell{s.Mean, s.P99}
-				res.Table.AddRow(op, fmt.Sprintf("%dB", size), transport, ns(s.Mean), ns(s.P99))
+				res.Table.AddRow(row.op, fmt.Sprintf("%dB", size), transport, ns(s.Mean), ns(s.P99))
 			}
 		}
 		for _, op := range []string{"set", "get"} {

@@ -251,18 +251,16 @@ type healthRack struct {
 	drained  chan struct{}
 	rejoined chan struct{}
 
-	mu       sync.Mutex // guards members/agents across rejoins
-	members  []*membership.Member
-	agents   []*health.Agent
-	srcs     []*health.NodeSource
-	deadSeen map[[2]uint64]bool // baseline dead-sweep dedup
+	mu      sync.Mutex // guards members/agents across rejoins
+	members []*membership.Member
+	agents  []*health.Agent
+	srcs    []*health.NodeSource
 }
 
 func newHealthRack(cfg HealthConfig, proactive bool) *healthRack {
 	r := &healthRack{
 		drained:  make(chan struct{}, 4),
 		rejoined: make(chan struct{}, 4),
-		deadSeen: make(map[[2]uint64]bool),
 	}
 	r.f = fabric.New(fabric.Config{
 		GlobalSize: 64 << 20,
@@ -343,7 +341,11 @@ func newHealthRack(cfg HealthConfig, proactive bool) *healthRack {
 	} else {
 		// The baseline's only remediator: the classic phi-accrual Dead
 		// sweep (it never fires for a gray node — that is the point).
-		r.members[0].Subscribe(r.onDeadSweep)
+		sweep := health.NewDeadSweep(func() health.SweepGates {
+			return health.SweepGates{Sched: r.s, Store: r.store}
+		})
+		n0 := r.f.Node(0)
+		r.members[0].Subscribe(func(ev membership.Event) { sweep.Dead(n0, ev) })
 	}
 	return r
 }
@@ -414,26 +416,6 @@ func (r *healthRack) onStage(st health.Stage, node int, gen uint64) {
 		default:
 		}
 	}
-}
-
-// onDeadSweep is the baseline's Dead handler: lease reclaim plus the
-// post-death fence, once per (slot, generation) — the membership
-// experiment's classic sweep, without the health layer above it.
-func (r *healthRack) onDeadSweep(ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
-	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	r.mu.Lock()
-	done := r.deadSeen[key]
-	r.deadSeen[key] = true
-	r.mu.Unlock()
-	if done {
-		return
-	}
-	n0 := r.f.Node(0)
-	r.s.ReclaimNode(n0, ev.Node)
-	r.store.FenceNode(n0, ev.Node, ev.Generation)
 }
 
 // submit queues one task through node 0 and returns its handle. Tasks

@@ -3,11 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
+	"flacos/internal/health"
 	"flacos/internal/membership"
 	"flacos/internal/metrics"
 	"flacos/internal/redis"
@@ -202,16 +202,12 @@ type memRack struct {
 	// rejoined: detector false positives.
 	falseDead int
 
-	mu        sync.Mutex
-	deadSeen  map[[2]uint64]bool
+	sweep     *health.DeadSweep
 	recovered chan time.Time
 }
 
 func newMemRack(cfg MembershipConfig, withMembership bool) *memRack {
-	r := &memRack{
-		deadSeen:  make(map[[2]uint64]bool),
-		recovered: make(chan time.Time, 64),
-	}
+	r := &memRack{recovered: make(chan time.Time, 64)}
 	r.f = fabric.New(fabric.Config{GlobalSize: 128 << 20, Nodes: cfg.Nodes})
 	// ProbeRounds x ReclaimTick = 20ms: the conservative per-subsystem
 	// lease-expiry timeout the membership layer replaces as the TIMELY
@@ -247,6 +243,9 @@ func newMemRack(cfg MembershipConfig, withMembership bool) *memRack {
 	if !withMembership {
 		return r
 	}
+	r.sweep = health.NewDeadSweep(func() health.SweepGates {
+		return health.SweepGates{Sched: r.s, Store: r.store}
+	})
 	r.tb = membership.New(r.f, membership.Config{
 		HeartbeatTick: 100 * time.Microsecond,
 		PhiSuspect:    3,
@@ -283,24 +282,13 @@ func (r *memRack) join(id int) {
 	r.members[id] = m
 }
 
-// onDead is the coordinated sweep: reclaim the dead node's leases and
-// fence its views, once per (slot, generation), then stamp the wall
-// time the rack finished recovering.
+// onDead runs the rack's Dead sweep from node 0 (lease reclaim and
+// fence, once per (slot, generation)), then stamps the wall time the
+// rack finished recovering.
 func (r *memRack) onDead(ev membership.Event) {
-	if ev.Kind != membership.EvDead {
+	if !r.sweep.Dead(r.f.Node(0), ev) {
 		return
 	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	r.mu.Lock()
-	done := r.deadSeen[key]
-	r.deadSeen[key] = true
-	r.mu.Unlock()
-	if done {
-		return
-	}
-	n0 := r.f.Node(0)
-	r.s.ReclaimNode(n0, ev.Node)
-	r.store.FenceNode(n0, ev.Node, ev.Generation)
 	select {
 	case r.recovered <- time.Now():
 	default:

@@ -183,9 +183,9 @@ type Controller struct {
 
 	trw atomic.Pointer[trace.Writer]
 
-	mu       sync.Mutex
-	nodes    map[int]*nodeState
-	deadSeen map[[2]uint64]bool // {slot, gen} -> death sweep already ran
+	mu    sync.Mutex
+	nodes map[int]*nodeState
+	sweep *DeadSweep
 
 	// brokenSkipDrainFence is the planted self-test break: when set, the
 	// drain pipeline SKIPS the early-fence stage — exactly the bug the
@@ -207,11 +207,14 @@ func NewController(m *membership.Member, cfg ControllerConfig) *Controller {
 		cfg.From = m.Node()
 	}
 	c := &Controller{
-		cfg:      cfg,
-		m:        m,
-		nodes:    make(map[int]*nodeState),
-		deadSeen: make(map[[2]uint64]bool),
+		cfg:   cfg,
+		m:     m,
+		nodes: make(map[int]*nodeState),
 	}
+	// The death fence is NOT subject to the planted drain-fence break:
+	// the break models forgetting the early fence, not the classic one.
+	gates := SweepGates{Sched: cfg.Sched, Store: cfg.Store, Serverless: cfg.Serverless}
+	c.sweep = NewDeadSweep(func() SweepGates { return gates })
 	if m != nil {
 		m.Subscribe(c.OnEvent)
 	}
@@ -463,48 +466,35 @@ func (c *Controller) runRejoin(node int, gen uint64) {
 	}
 }
 
-// dead reacts to EvDead: record the death (aborting any in-flight drain
-// at its next stage boundary) and run the classic death sweep exactly
-// once per (slot, generation).
+// dead reacts to EvDead: the rack's death sweep (lease reclaim, fence,
+// evict), exactly once per (slot, generation). Before its first action
+// the controller records the death, so an in-flight drain aborts at its
+// next stage boundary, and closes the node's serving gate.
 func (c *Controller) dead(ev membership.Event) {
-	c.mu.Lock()
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	if c.deadSeen[key] {
+	ran := c.sweep.run(c.cfg.From, ev, func() {
+		c.mu.Lock()
+		st := c.node(ev.Node)
+		if ev.Generation > st.deadGen {
+			st.deadGen = ev.Generation
+		}
+		if st.gen <= ev.Generation {
+			st.phase, st.pendingRecover = phaseIdle, false
+		}
+		// Restart can beat detection: if the controller has already seen
+		// the node alive under a NEWER generation, this death names a
+		// finished incarnation — the generation-scoped sweep still runs,
+		// but the serving gate stays open, or a late verdict would bench
+		// a live, rejoined node.
+		gate := st.seenGen <= ev.Generation
 		c.mu.Unlock()
-		return
-	}
-	c.deadSeen[key] = true
-	st := c.node(ev.Node)
-	if ev.Generation > st.deadGen {
-		st.deadGen = ev.Generation
-	}
-	if st.gen <= ev.Generation {
-		st.phase, st.pendingRecover = phaseIdle, false
-	}
-	// Restart can beat detection: if the controller has already seen the
-	// node alive under a NEWER generation, this death names a finished
-	// incarnation — run the generation-scoped sweep (reclaim, fence,
-	// evict are all idempotent or fenced by gen) but leave the serving
-	// gate alone, or a late verdict would bench a live, rejoined node.
-	gate := st.seenGen <= ev.Generation
-	c.mu.Unlock()
 
-	c.stage(StageDead, ev.Node, ev.Generation)
-	if c.cfg.Sched != nil {
-		if gate {
+		c.stage(StageDead, ev.Node, ev.Generation)
+		if gate && c.cfg.Sched != nil {
 			c.cfg.Sched.SetNodeServing(ev.Node, false)
 		}
-		c.cfg.Sched.ReclaimNode(c.cfg.From, ev.Node)
-	}
-	if c.cfg.Store != nil {
-		// The death fence is NOT subject to the planted break: the break
-		// models forgetting the early fence, not the classic one.
-		c.cfg.Store.FenceNode(c.cfg.From, ev.Node, ev.Generation)
-	}
-	for _, sv := range c.cfg.Serverless {
-		if sv != nil {
-			sv.EvictNode(ev.Node)
-		}
+	})
+	if !ran {
+		return
 	}
 	if c.cfg.Tiering != nil {
 		// Stop the drain spill: moving pages through a dead node's MMU

@@ -45,7 +45,7 @@ func TestTortureSmoke(t *testing.T) {
 // traces and verdicts across runs (the replay contract behind
 // `flacbench -experiment torture -seed N`).
 func TestTortureDeterminism(t *testing.T) {
-	for _, name := range []string{"ds", "sched"} {
+	for _, name := range []string{"ds", "sched", "redisrack", "membership", "health"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flacos/internal/fabric"
@@ -12,7 +11,6 @@ import (
 	"flacos/internal/health"
 	"flacos/internal/membership"
 	"flacos/internal/redis"
-	"flacos/internal/sched"
 )
 
 // healthWorkload tortures the gray-failure layer (internal/health) end
@@ -49,32 +47,21 @@ import (
 //   - convergence: the quiescent rack returns to every node Alive with
 //     no Degraded verdict standing.
 type healthWorkload struct {
+	rackClient
+	taskStorm
 	env   *Env
 	tb    *membership.Table
 	layer *health.Layer
 	ctl   *health.Controller
-	s     *sched.Scheduler
-	store *redis.RackStore
 	scrub *reliability.Scrubber
-
-	fn       sched.FuncID
-	doneBase fabric.GPtr
-	execBase fabric.GPtr
-	sentG    fabric.GPtr
-	tasks    int
+	sentG fabric.GPtr
 
 	mu       sync.Mutex
 	members  []*membership.Member // by node id
 	agents   []*health.Agent      // by node id
 	srcs     []*health.NodeSource // by node id (stable across rejoins)
 	rejoinMu sync.Mutex           // serializes whole-node rejoin sequences
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq
-	kpw      int             // keys per writer (per node)
 }
-
-const healthSubmitters = 2
 
 // graygenBurst is how many consecutive flips the graygen client plants
 // on one victim before cooling down — long enough to push the error
@@ -82,7 +69,13 @@ const healthSubmitters = 2
 // recovers and the drain/rejoin cycle runs repeatedly per sweep.
 const graygenBurst = 8
 
-func newHealthWorkload() *healthWorkload { return &healthWorkload{kpw: 2} }
+func newHealthWorkload() *healthWorkload {
+	return &healthWorkload{
+		rackClient: rackClient{kpw: 2, fenceable: true,
+			writerRng: 0xE0, writerCI: 0xE00, readerRng: 0xF1, readerCI: 0xF00},
+		taskStorm: taskStorm{submitRng: 0xD0},
+	}
+}
 
 func (w *healthWorkload) Name() string { return "health" }
 
@@ -94,35 +87,16 @@ func (w *healthWorkload) Name() string { return "health" }
 // client plants its own, attributable corruption instead.
 func (w *healthWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-func (w *healthWorkload) clients(env *Env) int { return healthSubmitters + env.Cfg.Nodes + 2 }
+func (w *healthWorkload) clients(env *Env) int { return stormSubmitters + env.Cfg.Nodes + 2 }
 
 func (w *healthWorkload) Prepare(env *Env) {
 	f := env.Fab
 	w.env = env
 	nodes := env.Cfg.Nodes
-	w.tasks = healthSubmitters * env.Cfg.OpsPerClient
-
-	w.doneBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.execBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.s = sched.New(f, sched.Config{
-		TableCap:    128,
-		Policy:      sched.PolicyLocality,
-		ProbeRounds: 50,
-		ReclaimTick: 400 * time.Microsecond,
-		IdleTick:    200 * time.Microsecond,
-		StealGrace:  500 * time.Microsecond,
-		HistCap:     1024,
-	})
-	w.s.SetTrace(env.Trace)
-	w.fn = w.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.Add64(w.execBase+fabric.GPtr(arg1*8), 1)
-		time.Sleep(20 * time.Microsecond)
-		n.Load64(w.doneBase + fabric.GPtr(arg1*8))
-	})
-	w.s.Start()
+	w.boot(env)
 
 	keys := nodes * w.kpw
-	w.store = redis.NewRackStore(f, redis.RackStoreConfig{
+	w.seed(env, redis.NewRackStore(f, redis.RackStoreConfig{
 		// Extra slot headroom for the zombie-probe keys a broken fence
 		// path would actually write.
 		Slots: uint64(keys+nodes) * 8,
@@ -130,17 +104,7 @@ func (w *healthWorkload) Prepare(env *Env) {
 		// every completed drain attaches one probe view; size for churn.
 		MaxViews:   4*nodes*(env.Cfg.Events+2) + 3*env.Cfg.OpsPerClient + 64,
 		ArenaBytes: 16 << 20,
-	})
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
-	v0 := w.attach(env, f.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(redisKey(k/w.kpw, k%w.kpw), redisVal(k, 1), 0); err != nil {
-			panic(err)
-		}
-		w.floors[k].Store(1)
-	}
-	v0.Barrier()
+	}))
 
 	// Per-node sentinel lines the graygen client corrupts and the
 	// scrubber guards: the scrub->attribute->repair loop is how at-rest
@@ -319,7 +283,7 @@ func (w *healthWorkload) HandleRestart(env *Env, node int) {
 
 func (w *healthWorkload) Clients(env *Env) []func() {
 	out := make([]func(), 0, w.clients(env))
-	for i := 0; i < healthSubmitters; i++ {
+	for i := 0; i < stormSubmitters; i++ {
 		sub := i
 		out = append(out, func() { w.submitter(env, sub) })
 	}
@@ -327,151 +291,9 @@ func (w *healthWorkload) Clients(env *Env) []func() {
 		node := id
 		out = append(out, func() { w.writer(env, node) })
 	}
-	out = append(out, func() { w.reader(env) })
+	out = append(out, func() { w.reader(env, 0) }) // node 0 never crashes
 	out = append(out, func() { w.graygen(env) })
 	return out
-}
-
-// submitter storms the scheduler from node 0 with tasks preferred onto
-// every node — degraded, draining, benched, dead, the lot; placement,
-// the drain gate, and the death sweep between them must still deliver
-// exactly-once.
-func (w *healthWorkload) submitter(env *Env, sub int) {
-	n0 := env.Fab.Node(0)
-	rng := env.Rand(uint64(0xD0 + sub))
-	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
-	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		idx := sub*env.Cfg.OpsPerClient + t
-		h := w.s.Submit(n0, sched.Task{
-			Fn:        w.fn,
-			Arg1:      uint64(idx),
-			Preferred: rng.Intn(env.Cfg.Nodes),
-			DoneCell:  w.doneBase + fabric.GPtr(idx*8),
-		})
-		handles = append(handles, h)
-		env.OpDone()
-	}
-	for _, h := range handles {
-		w.s.Wait(n0, h)
-	}
-}
-
-func (w *healthWorkload) attach(env *Env, n *fabric.Node) *redis.View {
-	v := w.store.Attach(n)
-	if env.Trace != nil {
-		v.SetTrace(env.Trace.Writer(n.ID()))
-	}
-	return v
-}
-
-func (w *healthWorkload) attachLoop(env *Env, n *fabric.Node) *redis.View {
-	for {
-		var v *redis.View
-		if env.RunOp(n, func() { v = w.attach(env, n) }) {
-			return v
-		}
-		env.WaitAlive(n)
-	}
-}
-
-func (w *healthWorkload) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	env.WaitAlive(n)
-	w.store.FenceView(env.Fab.Node(0), dead.ID())
-	return w.attachLoop(env, n)
-}
-
-// writer owns node's keys and SETs strictly increasing sequences.
-// ErrFenced here is MORE common than in the membership sweep: besides
-// the death sweep, every proactive drain fences the degraded node's
-// live views early — the writer's reattach-under-current-fence is the
-// sanctioned way a gray node keeps serving its own traffic.
-func (w *healthWorkload) writer(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0xE0 + node))
-	ci := 0xE00 + node
-	vers := make([]uint64, w.kpw)
-	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		j := rng.Intn(w.kpw)
-		keyIdx := node*w.kpw + j
-		key := redisKey(node, j)
-		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = w.reattach(env, n, v)
-				continue
-			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			w.floors[keyIdx].Store(seq)
-			needSync[j] = false
-		}
-		next := vers[j] + 1
-		fenced := false
-		if !env.RunOp(n, func() {
-			if err := v.Set(key, redisVal(keyIdx, next), 0); err != nil {
-				if errors.Is(err, redis.ErrFenced) {
-					fenced = true
-					return
-				}
-				panic(err)
-			}
-		}) {
-			needSync[j] = true
-			v = w.reattach(env, n, v)
-			continue
-		}
-		if fenced {
-			// Early-fenced by a drain (or fenced by a death sweep racing
-			// a restart): nothing applied; attach fresh under the current
-			// fence level and retry.
-			v = w.attachLoop(env, n)
-			continue
-		}
-		vers[j] = next
-		w.floors[keyIdx].Store(next)
-		completed++
-		env.OpDone()
-	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
-	}
-}
-
-// reader GETs random keys rack-wide from node 0 and checks every
-// observation is intact and not behind the committed floor.
-func (w *healthWorkload) reader(env *Env) {
-	n := env.Fab.Node(0)
-	v := w.attach(env, n)
-	rng := env.Rand(0xF1)
-	ci := 0xF00
-	keys := len(w.floors)
-	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
-		keyIdx := rng.Intn(keys)
-		key := redisKey(keyIdx/w.kpw, keyIdx%w.kpw)
-		f0 := w.floors[keyIdx].Load()
-		val, ok := v.Get(key)
-		if !ok {
-			env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-		} else if seq, intact := redisDecode(keyIdx, val); !intact {
-			env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-		} else if seq < f0 {
-			env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
-		}
-		env.OpDone()
-	}
 }
 
 // graygen is the seeded gray-failure generator: bursts of single-bit
@@ -527,49 +349,15 @@ func (w *healthWorkload) stopAll() {
 }
 
 func (w *healthWorkload) Check(env *Env) {
-	n0 := env.Fab.Node(0)
 	defer w.stopAll()
 	defer w.s.Stop()
-	if !w.s.Drain(n0) {
-		env.Violatef(-1, "scheduler stopped before draining")
+	if !w.checkTasks(env) {
 		return
 	}
-	st := w.s.StatsFrom(n0)
-	if st.Submitted != uint64(w.tasks) || st.Completed != uint64(w.tasks) {
-		env.Violatef(-1, "lost tasks: submitted=%d completed=%d want %d", st.Submitted, st.Completed, w.tasks)
-	}
-	if st.Queued != 0 {
-		env.Violatef(-1, "stranded tasks: queued=%d after drain", st.Queued)
-	}
-	for idx := 0; idx < w.tasks; idx++ {
-		if done := n0.AtomicLoad64(w.doneBase + fabric.GPtr(idx*8)); done != 1 {
-			env.Violatef(-1, "task %d: DoneCell=%d, want exactly 1", idx, done)
-		}
-		if exec := n0.AtomicLoad64(w.execBase + fabric.GPtr(idx*8)); exec == 0 {
-			env.Violatef(-1, "task %d: never executed", idx)
-		}
-	}
 
-	// Quiescent store: every key holds exactly its writer's last
-	// committed value, intact — drains fence views, never writes.
-	v0 := w.attach(env, n0)
-	for k := range w.finalVer {
-		want := w.finalVer[k]
-		if want == 0 {
-			continue
-		}
-		key := redisKey(k/w.kpw, k%w.kpw)
-		val, ok := v0.Get(key)
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", key, want)
-			continue
-		}
-		seq, intact := redisDecode(k, val)
-		if !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", key, seq, intact, want)
-		}
-	}
-	v0.Barrier()
+	// Drains fence views, never writes: the quiescent store still holds
+	// every writer's last committed value.
+	w.checkFinal(env)
 
 	// Convergence: with faults off, every node returns to Alive and
 	// every Degraded verdict clears (the EWMAs decay, the recovery

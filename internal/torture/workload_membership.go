@@ -1,15 +1,12 @@
 package torture
 
 import (
-	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"flacos/internal/fabric"
+	"flacos/internal/health"
 	"flacos/internal/membership"
 	"flacos/internal/redis"
-	"flacos/internal/sched"
 )
 
 // membershipWorkload tortures the coordinated failure-detection layer
@@ -40,30 +37,25 @@ import (
 //     intact before it activates, and the quiescent rack converges to
 //     every node Alive in the table.
 type membershipWorkload struct {
+	rackClient
+	taskStorm
 	tb    *membership.Table
-	s     *sched.Scheduler
-	store *redis.RackStore
+	sweep *health.DeadSweep
 
-	fn       sched.FuncID
-	doneBase fabric.GPtr
-	execBase fabric.GPtr
-	tasks    int
-
-	mu       sync.Mutex
-	members  []*membership.Member // by node id; nil until joined
-	deadSeen map[[2]uint64]bool   // {slot, generation} -> sweep ran
-
-	floors   []atomic.Uint64 // per key: committed (flush-acknowledged) seq
-	finalVer []uint64        // per key: writer's final committed seq
-	kpw      int             // keys per writer (per node)
+	mu      sync.Mutex
+	members []*membership.Member // by node id; nil until joined
 
 	hot   int    // hot-plug node (the last); not in the boot population
 	hotAt uint64 // global op count at which the hot node joins
 }
 
-const membershipSubmitters = 2
-
-func newMembershipWorkload() *membershipWorkload { return &membershipWorkload{kpw: 2} }
+func newMembershipWorkload() *membershipWorkload {
+	return &membershipWorkload{
+		rackClient: rackClient{kpw: 2, fenceable: true,
+			writerRng: 0x80, writerCI: 0x800, readerRng: 0x91, readerCI: 0x900},
+		taskStorm: taskStorm{submitRng: 0x70},
+	}
+}
 
 func (w *membershipWorkload) Name() string { return "membership" }
 
@@ -75,59 +67,25 @@ func (w *membershipWorkload) Name() string { return "membership" }
 // envelope.
 func (w *membershipWorkload) Tolerates() FaultClass { return FaultCrash | FaultDegrade }
 
-func (w *membershipWorkload) clients(env *Env) int { return membershipSubmitters + w.hot + 2 }
+func (w *membershipWorkload) clients(env *Env) int { return stormSubmitters + w.hot + 2 }
 
 func (w *membershipWorkload) Prepare(env *Env) {
 	f := env.Fab
 	w.hot = env.Cfg.Nodes - 1
-	w.tasks = membershipSubmitters * env.Cfg.OpsPerClient
 	// Hot-plug once the sweep is well under way: a quarter of all ops in,
 	// the rack is loaded and the fault windows have opened.
 	w.hotAt = uint64(w.clients(env)) * uint64(env.Cfg.OpsPerClient) / 4
 
-	w.doneBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	w.execBase = f.Reserve(uint64(w.tasks)*8, fabric.LineSize)
-	// The keeper's lease-expiry backstop is deliberately conservative
-	// (ProbeRounds*ReclaimTick = 20ms): timely crash recovery comes from
-	// the membership Dead sweep, and the schedule driver's 25ms stall
-	// detector keeps a broken membership path from hiding behind it.
-	w.s = sched.New(f, sched.Config{
-		TableCap:    128,
-		Policy:      sched.PolicyLocality,
-		ProbeRounds: 50,
-		ReclaimTick: 400 * time.Microsecond,
-		IdleTick:    200 * time.Microsecond,
-		StealGrace:  500 * time.Microsecond,
-		HistCap:     1024,
-	})
-	w.s.SetTrace(env.Trace)
-	w.fn = w.s.Register(func(n *fabric.Node, arg0, arg1 uint64) {
-		n.Add64(w.execBase+fabric.GPtr(arg1*8), 1)
-		// Linger off-fabric so a crash can land mid-task, then touch the
-		// fabric so runners on a crashed node actually die.
-		time.Sleep(20 * time.Microsecond)
-		n.Load64(w.doneBase + fabric.GPtr(arg1*8))
-	})
-	w.s.Start()
+	w.boot(env)
 	w.s.SetNodeServing(w.hot, false) // gated until it hot-plugs
 
 	keys := env.Cfg.Nodes * w.kpw
-	w.store = redis.NewRackStore(f, redis.RackStoreConfig{
+	w.seed(env, redis.NewRackStore(f, redis.RackStoreConfig{
 		Slots: uint64(keys) * 8,
 		// Crashes and fences abandon views; size for the sweep's churn.
 		MaxViews:   4*env.Cfg.Nodes*(env.Cfg.Events+2) + 16,
 		ArenaBytes: 16 << 20,
-	})
-	w.floors = make([]atomic.Uint64, keys)
-	w.finalVer = make([]uint64, keys)
-	v0 := w.attach(env, f.Node(0))
-	for k := 0; k < keys; k++ {
-		if err := v0.Set(redisKey(k/w.kpw, k%w.kpw), redisVal(k, 1), 0); err != nil {
-			panic(err)
-		}
-		w.floors[k].Store(1)
-	}
-	v0.Barrier()
+	}))
 
 	w.tb = membership.New(f, membership.Config{
 		HeartbeatTick: 100 * time.Microsecond,
@@ -135,7 +93,9 @@ func (w *membershipWorkload) Prepare(env *Env) {
 		PhiDead:       6,
 		DeadStrikes:   2,
 	})
-	w.deadSeen = make(map[[2]uint64]bool)
+	w.sweep = health.NewDeadSweep(func() health.SweepGates {
+		return health.SweepGates{Sched: w.s, Store: w.store}
+	})
 	w.members = make([]*membership.Member, env.Cfg.Nodes)
 	for id := 0; id < w.hot; id++ {
 		n := f.Node(id)
@@ -150,9 +110,11 @@ func (w *membershipWorkload) Prepare(env *Env) {
 			panic(err)
 		}
 		if id == 0 {
-			// One observer acts on Dead (deduped below); node 0 never
-			// crashes, so the sweep always has a live home.
-			m.Subscribe(func(ev membership.Event) { w.onEvent(env, ev) })
+			// One observer runs the Dead sweep (reclaim leases, fence
+			// views at the dead generation); node 0 never crashes, so the
+			// sweep always has a live home.
+			n0 := f.Node(0)
+			m.Subscribe(func(ev membership.Event) { w.sweep.Dead(n0, ev) })
 		}
 		m.Start()
 		w.members[id] = m
@@ -160,27 +122,6 @@ func (w *membershipWorkload) Prepare(env *Env) {
 	// Placement consults the table from here on. A crashed-but-undetected
 	// node may still be chosen for a beat; the Dead sweep re-dispatches.
 	w.s.SetLiveness(w.tb.Alive)
-}
-
-// onEvent is the rack's coordinated recovery hook, running on node 0's
-// member agent: exactly one sweep per (slot, generation) reclaims the
-// dead node's scheduler leases and fences its store views at the dead
-// generation so zombie writes bounce with ErrFenced.
-func (w *membershipWorkload) onEvent(env *Env, ev membership.Event) {
-	if ev.Kind != membership.EvDead {
-		return
-	}
-	key := [2]uint64{uint64(ev.Slot), ev.Generation}
-	w.mu.Lock()
-	done := w.deadSeen[key]
-	w.deadSeen[key] = true
-	w.mu.Unlock()
-	if done {
-		return
-	}
-	n0 := env.Fab.Node(0)
-	w.s.ReclaimNode(n0, ev.Node)
-	w.store.FenceNode(n0, ev.Node, ev.Generation)
 }
 
 // rejoin puts node id back into the table under a bumped generation.
@@ -228,7 +169,7 @@ func (w *membershipWorkload) HandleRestart(env *Env, node int) {
 
 func (w *membershipWorkload) Clients(env *Env) []func() {
 	out := make([]func(), 0, w.clients(env))
-	for i := 0; i < membershipSubmitters; i++ {
+	for i := 0; i < stormSubmitters; i++ {
 		sub := i
 		out = append(out, func() { w.submitter(env, sub) })
 	}
@@ -236,160 +177,9 @@ func (w *membershipWorkload) Clients(env *Env) []func() {
 		node := id
 		out = append(out, func() { w.writer(env, node) })
 	}
-	out = append(out, func() { w.reader(env) })
+	out = append(out, func() { w.reader(env, 0) }) // node 0 never crashes
 	out = append(out, func() { w.hotplug(env) })
 	return out
-}
-
-// submitter storms the scheduler from node 0 with tasks preferred onto
-// every node — dead ones, joining ones, the lot; placement and the
-// membership sweep between them must still deliver exactly-once.
-func (w *membershipWorkload) submitter(env *Env, sub int) {
-	n0 := env.Fab.Node(0)
-	rng := env.Rand(uint64(0x70 + sub))
-	handles := make([]sched.Handle, 0, env.Cfg.OpsPerClient)
-	for t := 0; t < env.Cfg.OpsPerClient; t++ {
-		idx := sub*env.Cfg.OpsPerClient + t
-		h := w.s.Submit(n0, sched.Task{
-			Fn:        w.fn,
-			Arg1:      uint64(idx),
-			Preferred: rng.Intn(env.Cfg.Nodes),
-			DoneCell:  w.doneBase + fabric.GPtr(idx*8),
-		})
-		handles = append(handles, h)
-		env.OpDone()
-	}
-	for _, h := range handles {
-		w.s.Wait(n0, h)
-	}
-}
-
-// attach creates a view with the flight recorder wired in.
-func (w *membershipWorkload) attach(env *Env, n *fabric.Node) *redis.View {
-	v := w.store.Attach(n)
-	if env.Trace != nil {
-		v.SetTrace(env.Trace.Writer(n.ID()))
-	}
-	return v
-}
-
-// attachLoop attaches on n, riding out crashes that land before or
-// during the attach itself (the fault driver does not wait for clients
-// to reach a safe point).
-func (w *membershipWorkload) attachLoop(env *Env, n *fabric.Node) *redis.View {
-	for {
-		var v *redis.View
-		if env.RunOp(n, func() { v = w.attach(env, n) }) {
-			return v
-		}
-		env.WaitAlive(n)
-	}
-}
-
-// reattach abandons a view whose node crashed: wait for the restart,
-// clear the dead view's epoch reservation from node 0 (the membership
-// sweep also does this for the node's tracked views; the explicit fence
-// keeps the store reclaimable even when a restart beats detection), and
-// attach fresh under the current fence level.
-func (w *membershipWorkload) reattach(env *Env, n *fabric.Node, dead *redis.View) *redis.View {
-	env.WaitAlive(n)
-	w.store.FenceView(env.Fab.Node(0), dead.ID())
-	return w.attachLoop(env, n)
-}
-
-// writer owns node's keys and SETs strictly increasing sequences. Two
-// recovery paths exercise the membership machinery: a crash makes the
-// in-flight SET uncertain (resync with a GET after reattaching), and
-// ErrFenced means the Dead sweep fenced this view's generation — the
-// SET never applied, so reattach under the current fence and retry.
-func (w *membershipWorkload) writer(env *Env, node int) {
-	n := env.Fab.Node(node)
-	v := w.attachLoop(env, n)
-	rng := env.Rand(uint64(0x80 + node))
-	ci := 0x800 + node
-	vers := make([]uint64, w.kpw)
-	needSync := make([]bool, w.kpw)
-	for j := range vers {
-		vers[j] = 1
-	}
-	for completed := 0; completed < env.Cfg.OpsPerClient; {
-		j := rng.Intn(w.kpw)
-		keyIdx := node*w.kpw + j
-		key := redisKey(node, j)
-		if needSync[j] {
-			var val []byte
-			var ok bool
-			if !env.RunOp(n, func() { val, ok = v.Get(key) }) {
-				v = w.reattach(env, n, v)
-				continue
-			}
-			seq, intact := uint64(0), false
-			if ok {
-				seq, intact = redisDecode(keyIdx, val)
-			}
-			if !ok || !intact || seq < vers[j] || seq > vers[j]+1 {
-				env.Violatef(ci, "key %s: resync read seq=%d ok=%v intact=%v, committed=%d", key, seq, ok, intact, vers[j])
-				seq = vers[j]
-			}
-			vers[j] = seq
-			w.floors[keyIdx].Store(seq)
-			needSync[j] = false
-		}
-		next := vers[j] + 1
-		fenced := false
-		if !env.RunOp(n, func() {
-			if err := v.Set(key, redisVal(keyIdx, next), 0); err != nil {
-				if errors.Is(err, redis.ErrFenced) {
-					fenced = true
-					return
-				}
-				panic(err)
-			}
-		}) {
-			// Crashed mid-SET: the publish either landed or it didn't.
-			needSync[j] = true
-			v = w.reattach(env, n, v)
-			continue
-		}
-		if fenced {
-			// The zombie path worked as designed: this view carried a
-			// generation the rack declared dead. Nothing applied.
-			v = w.attachLoop(env, n)
-			continue
-		}
-		vers[j] = next
-		w.floors[keyIdx].Store(next)
-		completed++
-		env.OpDone()
-	}
-	for j := range vers {
-		w.finalVer[node*w.kpw+j] = vers[j]
-	}
-}
-
-// reader GETs random keys rack-wide from node 0 (never crashed) and
-// checks every observation is intact and not behind the committed floor
-// loaded before the read.
-func (w *membershipWorkload) reader(env *Env) {
-	n := env.Fab.Node(0)
-	v := w.attach(env, n)
-	rng := env.Rand(0x91)
-	ci := 0x900
-	keys := len(w.floors)
-	for completed := 0; completed < env.Cfg.OpsPerClient; completed++ {
-		keyIdx := rng.Intn(keys)
-		key := redisKey(keyIdx/w.kpw, keyIdx%w.kpw)
-		f0 := w.floors[keyIdx].Load()
-		val, ok := v.Get(key)
-		if !ok {
-			env.Violatef(ci, "key %s: vanished (committed floor %d)", key, f0)
-		} else if seq, intact := redisDecode(keyIdx, val); !intact {
-			env.Violatef(ci, "key %s: torn value (carries seq %d)", key, seq)
-		} else if seq < f0 {
-			env.Violatef(ci, "key %s: went backwards: read seq %d after committed %d", key, seq, f0)
-		}
-		env.OpDone()
-	}
 }
 
 // hotplug is the tentpole scenario: the held-out last node joins the
@@ -423,7 +213,7 @@ func (w *membershipWorkload) hotplug(env *Env) {
 			v := w.attach(env, n)
 			for k := range w.floors {
 				f0 := w.floors[k].Load()
-				key := redisKey(k/w.kpw, k%w.kpw)
+				key := w.key(k)
 				val, okG := v.Get(key)
 				seq, intact := uint64(0), false
 				if okG {
@@ -469,49 +259,12 @@ func (w *membershipWorkload) stopMembers() {
 }
 
 func (w *membershipWorkload) Check(env *Env) {
-	n0 := env.Fab.Node(0)
 	defer w.stopMembers()
 	defer w.s.Stop()
-	if !w.s.Drain(n0) {
-		env.Violatef(-1, "scheduler stopped before draining")
+	if !w.checkTasks(env) {
 		return
 	}
-	st := w.s.StatsFrom(n0)
-	if st.Submitted != uint64(w.tasks) || st.Completed != uint64(w.tasks) {
-		env.Violatef(-1, "lost tasks: submitted=%d completed=%d want %d", st.Submitted, st.Completed, w.tasks)
-	}
-	if st.Queued != 0 {
-		env.Violatef(-1, "stranded tasks: queued=%d after drain", st.Queued)
-	}
-	for idx := 0; idx < w.tasks; idx++ {
-		if done := n0.AtomicLoad64(w.doneBase + fabric.GPtr(idx*8)); done != 1 {
-			env.Violatef(-1, "task %d: DoneCell=%d, want exactly 1", idx, done)
-		}
-		if exec := n0.AtomicLoad64(w.execBase + fabric.GPtr(idx*8)); exec == 0 {
-			env.Violatef(-1, "task %d: never executed", idx)
-		}
-	}
-
-	// Quiescent store: every key holds exactly its writer's last
-	// committed value, intact.
-	v0 := w.attach(env, n0)
-	for k := range w.finalVer {
-		want := w.finalVer[k]
-		if want == 0 {
-			continue // writer bailed before serving (already recorded)
-		}
-		key := redisKey(k/w.kpw, k%w.kpw)
-		val, ok := v0.Get(key)
-		if !ok {
-			env.Violatef(-1, "final state: key %s missing, want seq %d", key, want)
-			continue
-		}
-		seq, intact := redisDecode(k, val)
-		if !intact || seq != want {
-			env.Violatef(-1, "final state: key %s seq=%d intact=%v, want %d", key, seq, intact, want)
-		}
-	}
-	v0.Barrier()
+	w.checkFinal(env)
 
 	// The quiescent rack converges to every node Alive. A false Dead
 	// verdict is legitimate under phi (and SAFE — fencing already made
