@@ -22,7 +22,9 @@
 //     under the threshold prints a WARN and still passes.
 //   - a tracked op or row present in the baseline but missing from the
 //     candidate FAILS: coverage is part of the trajectory. New candidate
-//     rows are reported and pass.
+//     rows are reported and pass. Sweep rows pair up by (nodes, load
+//     factor), or by (nodes, offered load) for a baseline row that
+//     records no factor.
 //
 // Benches named in -advisory are fully compared and reported but never
 // set a failing exit code — for wall-derived artifacts whose absolute
@@ -45,6 +47,7 @@ import (
 	"strings"
 
 	"flacos/internal/experiments"
+	"flacos/internal/loadgen"
 )
 
 func main() {
@@ -189,14 +192,18 @@ func compare(base, cand *experiments.Bench, r rules, out io.Writer) int {
 	check("p99_ns", base.P99NS, cand.P99NS, r.failP99, false)
 	warnOnly("p50_ns", base.P50NS, cand.P50NS, r.failP99)
 
-	// Sweep rows, matched by (nodes, offered load).
-	rowKey := func(nodes int, load float64) string { return fmt.Sprintf("nodes=%d,load=%g", nodes, load) }
+	// Sweep rows, matched by (nodes, load factor): a factor names the
+	// same point of the sweep even when a capacity change moved its
+	// offered load. A baseline row without a factor falls back to
+	// matching (nodes, offered load).
 	candRows := map[string]int{}
 	for i, row := range cand.Rows {
-		candRows[rowKey(row.Nodes, row.OfferedLoad)] = i
+		candRows[rowKey(row)] = i
+		candRows[loadKey(row)] = i
 	}
+	matched := map[int]bool{}
 	for _, row := range base.Rows {
-		key := rowKey(row.Nodes, row.OfferedLoad)
+		key := rowKey(row)
 		ci, ok := candRows[key]
 		if !ok {
 			fmt.Fprintf(out, "FAIL  %s/row[%s]: tracked row missing from candidate\n", base.Name, key)
@@ -206,10 +213,12 @@ func compare(base, cand *experiments.Bench, r rules, out io.Writer) int {
 		crow := cand.Rows[ci]
 		check("row["+key+"].achieved", row.AchievedOpsPerSec, crow.AchievedOpsPerSec, r.failOps, true)
 		check("row["+key+"].p99_ns", float64(row.P99NS), float64(crow.P99NS), r.failP99, false)
-		delete(candRows, key)
+		matched[ci] = true
 	}
-	for key := range candRows {
-		fmt.Fprintf(out, "note  %s/row[%s]: new in candidate\n", base.Name, key)
+	for i, row := range cand.Rows {
+		if !matched[i] {
+			fmt.Fprintf(out, "note  %s/row[%s]: new in candidate\n", base.Name, rowKey(row))
+		}
 	}
 
 	// Per-op cost rows, matched by name. Virtual costs follow the p99
@@ -244,4 +253,17 @@ func compare(base, cand *experiments.Bench, r rules, out io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// rowKey names a sweep row by (nodes, load factor), or by (nodes, offered
+// load) when the row records no factor.
+func rowKey(row loadgen.Row) string {
+	if row.LoadFactor == 0 {
+		return loadKey(row)
+	}
+	return fmt.Sprintf("nodes=%d,factor=%g", row.Nodes, row.LoadFactor)
+}
+
+func loadKey(row loadgen.Row) string {
+	return fmt.Sprintf("nodes=%d,load=%g", row.Nodes, row.OfferedLoad)
 }

@@ -125,6 +125,34 @@ func TestMissingSweepRowFails(t *testing.T) {
 	}
 }
 
+// A capacity gain moves every offered load of a sweep; rows that record
+// their load factor still pair up with the baseline's.
+func TestSweepRowsMatchByLoadFactor(t *testing.T) {
+	code, out := runDiff(t, td("rows_factor_base.json"), td("rows_factor_cand.json"))
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, out)
+	}
+	for _, want := range []string{
+		"row[nodes=2,factor=0.5].achieved: baseline 99000 candidate 111000",
+		"row[nodes=8,factor=0.5].p99_ns: baseline 9000 candidate 8800",
+		"row[nodes=8,factor=0.8]: new in candidate",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "missing") {
+		t.Fatalf("factor-keyed rows reported missing:\n%s", out)
+	}
+
+	// Without factors on either side the same pair cannot be matched:
+	// the offered loads differ.
+	code, out = runDiff(t, td("rows_base.json"), td("rows_factor_cand.json"))
+	if code != 1 || !strings.Contains(out, "row[nodes=2,load=100000]: tracked row missing") {
+		t.Fatalf("factorless baseline against moved loads: exit %d:\n%s", code, out)
+	}
+}
+
 func TestAdvisoryBenchReportsButNeverFails(t *testing.T) {
 	code, out := runDiff(t, "-advisory", "fabric,redisrack",
 		td("baseline.json"), td("cand_fail.json"))

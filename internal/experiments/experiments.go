@@ -70,7 +70,8 @@ func (b *Bench) Validate() error {
 	for i, r := range b.Rows {
 		if r.Nodes <= 0 || !(r.OfferedLoad > 0) || !(r.AchievedOpsPerSec > 0) ||
 			r.P50NS == 0 || r.P99NS < r.P50NS || r.P999NS < r.P99NS ||
-			math.IsInf(r.OfferedLoad, 0) || math.IsInf(r.AchievedOpsPerSec, 0) {
+			math.IsInf(r.OfferedLoad, 0) || math.IsInf(r.AchievedOpsPerSec, 0) ||
+			!(r.LoadFactor >= 0) || math.IsInf(r.LoadFactor, 0) {
 			return fmt.Errorf("bench %s: malformed row %d: %+v", b.Name, i, r)
 		}
 	}

@@ -153,6 +153,7 @@ func RedisScale(cfg RedisScaleConfig) (*Result, bool) {
 		for _, fac := range cfg.LoadFactors {
 			offered := fac * comb.opsPerSec
 			row := loadgen.MeasureRow(s, offered, comb.replayOps(cfg, offered), s)
+			row.LoadFactor = fac
 			sweep = append(sweep, row)
 			res.Table.AddRow("open-loop", fmt.Sprintf("%d node(s) %.1fx", s, fac),
 				"achieved ops/s | p50 | p99",

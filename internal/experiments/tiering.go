@@ -468,6 +468,7 @@ func Tiering(cfg TieringConfig) (*Result, bool) {
 	for _, fac := range cfg.LoadFactors {
 		offered := fac * daemon.opsPerSec
 		row := loadgen.MeasureRow(cfg.Nodes, offered, daemon.replayOps(&cfg, offered, plan.total), cfg.Nodes)
+		row.LoadFactor = fac
 		sweep = append(sweep, row)
 		res.Table.AddRow("open-loop", fmt.Sprintf("%.1fx capacity", fac),
 			"achieved ops/s | p50 | p99",

@@ -74,6 +74,7 @@ type Participant struct {
 	mu      sync.Mutex // guards retired list (local bookkeeping)
 	retired []retired
 	depth   int
+	epoch   uint64 // node-private cache of the epoch Enter or TryAdvance last saw
 }
 
 // ID returns the participant's slot in the domain (used to Fence it after
@@ -90,12 +91,21 @@ func (d *Domain) Participant(n *fabric.Node, id int) *Participant {
 
 // Enter begins a read-side critical section, pinning the current epoch.
 // Sections nest; only the outermost Enter publishes a reservation.
+//
+// The first reservation comes from the epoch this participant last saw
+// (its previous pin or its own TryAdvance), cached in the participant, so
+// the steady state costs one store and one load instead of a load, a
+// store and a re-check load. A stale cache is
+// conservative: it publishes a LOWER reservation than the live epoch,
+// which TryAdvance treats as a reader in an older epoch — it can delay an
+// advance but never permit one — and the re-check below then chases the
+// live epoch before the section begins.
 func (p *Participant) Enter() {
 	p.depth++
 	if p.depth > 1 {
 		return
 	}
-	e := p.n.AtomicLoad64(p.d.epochG)
+	e := p.epoch
 	p.n.AtomicStore64(p.d.resG[p.id], e+1)
 	// Re-check: the epoch may have advanced between load and store; chase it
 	// so our reservation never lags the global epoch at section start.
@@ -107,6 +117,7 @@ func (p *Participant) Enter() {
 		e = cur
 		p.n.AtomicStore64(p.d.resG[p.id], e+1)
 	}
+	p.epoch = e
 }
 
 // Exit ends a read-side critical section.
@@ -138,17 +149,23 @@ func (p *Participant) Retire(fn func()) {
 
 // TryAdvance attempts to advance the global epoch. It succeeds only if
 // every active participant has pinned the current epoch. Returns whether
-// the epoch advanced.
+// the epoch advanced. The epoch it loads (or moves to) refreshes the
+// participant's cached epoch for its next Enter.
 func (p *Participant) TryAdvance() bool {
 	n, d := p.n, p.d
 	e := n.AtomicLoad64(d.epochG)
+	p.epoch = e
 	for _, g := range d.resG {
 		r := n.AtomicLoad64(g)
 		if r != 0 && r != e+1 {
 			return false // someone still reads in an older epoch
 		}
 	}
-	return n.CAS64(d.epochG, e, e+1)
+	if !n.CAS64(d.epochG, e, e+1) {
+		return false
+	}
+	p.epoch = e + 1
+	return true
 }
 
 // Fence clears participant id's reservation word on behalf of a crashed

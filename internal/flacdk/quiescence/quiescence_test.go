@@ -3,7 +3,10 @@ package quiescence
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"flacos/internal/fabric"
@@ -273,4 +276,125 @@ func TestWriteOversizedPanics(t *testing.T) {
 		}
 	}()
 	c.Write(p, a, make([]byte, 65))
+}
+
+// --- cached-epoch pin ---
+
+// A steady-state Enter publishes its reservation from the cached epoch and
+// confirms it with one load: two fabric atomics.
+func TestCachedEpochSteadyStateEnterTwoAtomics(t *testing.T) {
+	f := rack(t, 1)
+	d := NewDomain(f, 1)
+	n := f.Node(0)
+	p := d.Participant(n, 0)
+	p.Enter()
+	p.Exit()
+	for i := 0; i < 3; i++ {
+		before := n.Stats()
+		p.Enter()
+		if got := n.Stats().Delta(before).Atomics; got != 2 {
+			t.Fatalf("steady-state Enter %d cost %d atomics, want 2", i, got)
+		}
+		p.Exit()
+	}
+}
+
+// A cached epoch several advances stale first publishes a lower
+// reservation, then chases the live epoch: the section still pins
+// epoch+1, so exactly one further advance can pass it.
+func TestCachedEpochStaleEndsPinAtEpochPlusOne(t *testing.T) {
+	f := rack(t, 2)
+	d := NewDomain(f, 2)
+	reader := d.Participant(f.Node(0), 0)
+	other := d.Participant(f.Node(1), 1)
+	reader.Enter()
+	reader.Exit()
+	for i := 0; i < 5; i++ {
+		if !other.TryAdvance() {
+			t.Fatal("advance failed with no readers")
+		}
+	}
+	reader.Enter()
+	e := d.Epoch(f.Node(1))
+	if e != 5 {
+		t.Fatalf("epoch %d, want 5", e)
+	}
+	if r := f.Node(1).AtomicLoad64(d.resG[reader.ID()]); r != e+1 {
+		t.Fatalf("stale-cached Enter left reservation %d, want epoch+1 = %d", r, e+1)
+	}
+	if !other.TryAdvance() {
+		t.Fatal("the reader pinned the live epoch; one advance must pass")
+	}
+	if other.TryAdvance() {
+		t.Fatal("epoch advanced twice past an active reader")
+	}
+	reader.Exit()
+}
+
+// TestCachedEpochStaleReadersNoUseAfterFree races a writer that keeps
+// advancing the epoch against readers that idle between sections, so
+// their cached epochs lag by several advances when they Enter. Each
+// version's retire callback marks it freed; a reader that finds the
+// version it pinned already freed is the use-after-free quiescence must
+// prevent.
+func TestCachedEpochStaleReadersNoUseAfterFree(t *testing.T) {
+	const (
+		readers     = 3
+		maxVersions = 200000
+		wantStale   = 200
+	)
+	f := rack(t, readers+1)
+	d := NewDomain(f, readers+1)
+	headG := f.Reserve(fabric.LineSize, fabric.LineSize)
+	freed := make([]atomic.Bool, maxVersions+1)
+	w := d.Participant(f.Node(0), 0)
+
+	var stop atomic.Bool
+	var stale atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan string, readers)
+	for i := 1; i <= readers; i++ {
+		p := d.Participant(f.Node(i), i)
+		wg.Add(1)
+		go func(p *Participant, idle int) {
+			defer wg.Done()
+			for k := 0; !stop.Load(); k++ {
+				if d.Epoch(p.n) >= p.epoch+2 {
+					stale.Add(1)
+				}
+				p.Enter()
+				v := p.n.AtomicLoad64(headG)
+				for j := 0; j < 4; j++ {
+					runtime.Gosched()
+				}
+				if freed[v].Load() {
+					errs <- fmt.Sprintf("reader %d: version %d freed inside the section that pinned it", p.id, v)
+					p.Exit()
+					return
+				}
+				p.Exit()
+				for j := 0; j < k%idle; j++ {
+					runtime.Gosched()
+				}
+			}
+		}(p, 2+3*i)
+	}
+	// Publish until the readers have entered 2+ advances stale often
+	// enough, yielding so they interleave even on one CPU.
+	for v := uint64(1); v <= maxVersions && stale.Load() < wantStale; v++ {
+		prev := w.n.Swap64(headG, v)
+		w.Retire(func() { freed[prev].Store(true) })
+		w.TryAdvance()
+		w.Collect()
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if n := stale.Load(); n < wantStale {
+		t.Fatalf("readers entered with a cached epoch 2+ advances stale %d times, want %d; the race was not exercised", n, wantStale)
+	}
 }

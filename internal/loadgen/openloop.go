@@ -14,8 +14,12 @@ type Op struct {
 // Row is one measured point of an offered-load sweep, the unit the
 // redisscale bench artifact records per node count.
 type Row struct {
-	Nodes             int     `json:"nodes"`
-	OfferedLoad       float64 `json:"offered_load"` // ops/sec scheduled
+	Nodes       int     `json:"nodes"`
+	OfferedLoad float64 `json:"offered_load"` // ops/sec scheduled
+	// LoadFactor is OfferedLoad as a fraction of the capacity the sweep
+	// measured (0 when the sweep did not record one). It names the row
+	// across runs whose capacity, and with it the offered load, moved.
+	LoadFactor        float64 `json:"load_factor,omitempty"`
 	AchievedOpsPerSec float64 `json:"achieved_ops_per_sec"`
 	P50NS             uint64  `json:"p50_ns"` // sojourn = queueing + service
 	P99NS             uint64  `json:"p99_ns"`

@@ -152,6 +152,10 @@ func (cb *Combiner) ServeSweep() int {
 		cb.addToGroup(rq.Op, key, rq)
 	}
 	served := 0
+	// One read section covers the whole sweep, so the groups' store
+	// operations nest inside it instead of each pinning and releasing an
+	// epoch of its own: the sweep pays the pin once, as MGet does.
+	cb.view.p.Enter()
 	for _, wantOp := range [...]uint32{combineOpIncrBy, combineOpGet} {
 		for i := range cb.order {
 			g := &cb.order[i]
@@ -166,6 +170,7 @@ func (cb *Combiner) ServeSweep() int {
 			}
 		}
 	}
+	cb.view.p.Exit()
 	for i := range cb.order {
 		g := &cb.order[i]
 		if g.op == combineOpIncrBy || g.op == combineOpGet {

@@ -23,7 +23,9 @@ import (
 // Layout and coherence protocol:
 //
 //   - The index is a flacdk/ds.HashMap mapping a salted 64-bit key hash to
-//     the global address of an immutable entry block.
+//     an entry ref: the global address of an immutable entry block packed
+//     with the block's byte length, so a probe fetches the whole block (or
+//     just its header and key) with one invalidate and one bulk read.
 //   - Entry blocks (header | key bytes | value bytes) come from
 //     flacdk/alloc. A writer fills the block through its cache, WRITES THE
 //     LINES BACK explicitly, and only then publishes the address with a
@@ -111,6 +113,22 @@ const (
 // largest size class minus the header).
 const MaxEntryBytes = alloc.MaxAlloc - entryHdrSize
 
+// Entry refs: an index value packs an entry block's global address into
+// the low refAddrBits bits and the block's byte length above them. The
+// length needs 17 bits (blocks are at most alloc.MaxAlloc = 1<<16 bytes),
+// so a ref stays below 2^63 as ds.HashMap requires; NewRackStore refuses
+// a fabric whose addresses do not fit the address field.
+const refAddrBits = 46
+
+type entryRef uint64
+
+func makeRef(e fabric.GPtr, size int) entryRef {
+	return entryRef(uint64(size)<<refAddrBits | uint64(e))
+}
+
+func (r entryRef) addr() fabric.GPtr { return fabric.GPtr(uint64(r) & (1<<refAddrBits - 1)) }
+func (r entryRef) size() uint64      { return uint64(r) >> refAddrBits }
+
 // maxProbeSalts bounds the salted-rehash chain walked on a full 64-bit
 // hash collision between distinct keys. Chains longer than one slot need
 // a 64-bit collision, two need a pair of them; running out is treated
@@ -120,6 +138,9 @@ const maxProbeSalts = 16
 // NewRackStore lays the store out in f's global memory.
 func NewRackStore(f *fabric.Fabric, cfg RackStoreConfig) *RackStore {
 	cfg.fillDefaults()
+	if f.Size() > 1<<refAddrBits {
+		panic(fmt.Sprintf("redis: RackStore entry refs address %d bytes of global memory, fabric has %d", uint64(1)<<refAddrBits, f.Size()))
+	}
 	ar := cfg.Arena
 	if ar == nil {
 		ar = alloc.NewArena(f, cfg.ArenaBytes)
@@ -286,12 +307,13 @@ type entryHdr struct {
 
 func (h entryHdr) deleted() bool { return h.vlen == delMarker }
 
-// liveLen returns the value length for a live entry (0 for deleted).
-func (h entryHdr) liveLen() uint32 {
-	if h.deleted() {
-		return 0
+// parseHeader decodes an entry header from the block's first bytes.
+func parseHeader(b []byte) entryHdr {
+	return entryHdr{
+		klen: binary.LittleEndian.Uint32(b[0:]),
+		vlen: binary.LittleEndian.Uint32(b[4:]),
+		exp:  binary.LittleEndian.Uint64(b[8:]),
 	}
-	return h.vlen
 }
 
 // readHeader fetches an entry's header with fresh lines. Entry blocks are
@@ -302,44 +324,14 @@ func (v *View) readHeader(e fabric.GPtr) entryHdr {
 	v.n.InvalidateRange(e, entryHdrSize)
 	var b [entryHdrSize]byte
 	v.n.Read(e, b[:])
-	return entryHdr{
-		klen: binary.LittleEndian.Uint32(b[0:]),
-		vlen: binary.LittleEndian.Uint32(b[4:]),
-		exp:  binary.LittleEndian.Uint64(b[8:]),
-	}
-}
-
-// readBody fetches the key and value bytes following an entry's header.
-func (v *View) readBody(e fabric.GPtr, hdr entryHdr) (key, value []byte) {
-	total := uint64(hdr.klen) + uint64(hdr.liveLen())
-	if total == 0 {
-		return nil, nil
-	}
-	v.n.InvalidateRange(e.Add(entryHdrSize), total)
-	buf := make([]byte, total)
-	v.n.Read(e.Add(entryHdrSize), buf)
-	return buf[:hdr.klen], buf[hdr.klen:]
-}
-
-// keyMatches reports whether entry e is bound to key.
-func (v *View) keyMatches(e fabric.GPtr, hdr entryHdr, key string) bool {
-	if int(hdr.klen) != len(key) {
-		return false
-	}
-	if hdr.klen == 0 {
-		return true
-	}
-	v.n.InvalidateRange(e.Add(entryHdrSize), uint64(hdr.klen))
-	kb := make([]byte, hdr.klen)
-	v.n.Read(e.Add(entryHdrSize), kb)
-	return string(kb) == key
+	return parseHeader(b[:])
 }
 
 // newEntry writes an immutable entry block and pushes its lines to home
 // memory. The block is unpublished: the caller owns it until a successful
 // publish (and must na.Free it directly on a lost race — no grace period
 // is needed for a block no reader ever saw).
-func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabric.GPtr {
+func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) entryRef {
 	total := entryHdrSize + len(key) + len(value)
 	blk := v.na.AllocUninit(uint64(total))
 	buf := make([]byte, total)
@@ -354,13 +346,13 @@ func (v *View) newEntry(key string, value []byte, exp uint64, deleted bool) fabr
 	copy(buf[entryHdrSize+len(key):], value)
 	v.n.Write(blk, buf)
 	v.n.WriteBackRange(blk, uint64(total))
-	return blk
+	return makeRef(blk, total)
 }
 
 // retire schedules an unpublished-from-now block for reclamation once no
 // concurrent reader can still hold its address.
-func (v *View) retire(e fabric.GPtr) {
-	na := v.na
+func (v *View) retire(r entryRef) {
+	na, e := v.na, r.addr()
 	v.p.Retire(func() { na.Free(e) })
 }
 
@@ -374,27 +366,48 @@ func (v *View) addLive(delta int64) { v.n.Add64(v.s.liveG, uint64(delta)) }
 
 // probeResult is one resolved slot for a key.
 type probeResult struct {
-	sk    uint64      // index key of the slot bound to key
-	entry fabric.GPtr // current entry (Nil if the slot is absent)
-	hdr   entryHdr
+	sk  uint64   // index key of the slot bound to key
+	ref entryRef // current entry (0 if the slot is absent)
+	hdr entryHdr
+	val []byte // value bytes of a live entry (whole-block probes only)
+}
+
+func (pr probeResult) absent() bool { return pr.ref == 0 }
+
+// live reports whether the probed entry holds an unexpired value.
+func (v *View) live(pr probeResult) bool {
+	return !pr.absent() && !pr.hdr.deleted() && !v.expired(pr.hdr)
 }
 
 // probe walks the salted-hash chain until it finds the slot bound to key
-// or the first absent slot (entry Nil: the key has never been stored; sk
-// is where an insert would bind it). Must run inside a read section.
-func (v *View) probe(key string) probeResult {
+// or the first absent slot (ref 0: the key has never been stored; sk is
+// where an insert would bind it). Each slot costs one invalidate and one
+// bulk read: of the whole block when whole is set (readers want the
+// value), else of only the header and key bytes (writers need no more).
+// Must run inside a read section.
+func (v *View) probe(key string, whole bool) probeResult {
 	h := keyHash(key)
 	for salt := 0; salt < maxProbeSalts; salt++ {
 		sk := slotKey(h, salt)
 		ev, ok := v.s.index.Get(v.n, sk)
 		if !ok {
-			return probeResult{sk: sk, entry: fabric.Nil}
+			return probeResult{sk: sk}
 		}
-		e := fabric.GPtr(ev)
-		hdr := v.readHeader(e)
-		if v.keyMatches(e, hdr, key) {
-			return probeResult{sk: sk, entry: e, hdr: hdr}
+		r := entryRef(ev)
+		n := r.size()
+		if !whole {
+			n = min(n, uint64(entryHdrSize+len(key)))
 		}
+		e := r.addr()
+		v.n.InvalidateRange(e, n)
+		buf := make([]byte, n)
+		v.n.Read(e, buf)
+		hdr := parseHeader(buf)
+		if int(hdr.klen) != len(key) || uint64(entryHdrSize+len(key)) > n ||
+			string(buf[entryHdrSize:entryHdrSize+len(key)]) != key {
+			continue
+		}
+		return probeResult{sk: sk, ref: r, hdr: hdr, val: buf[entryHdrSize+len(key):]}
 	}
 	panic(fmt.Sprintf("redis: RackStore salted-probe chain exhausted for key %q (%d 64-bit hash collisions?!); size Slots up", key, maxProbeSalts))
 }
@@ -428,28 +441,28 @@ func (v *View) Set(key string, value []byte, ttl time.Duration) error {
 	}
 	blk := v.newEntry(key, value, exp, false)
 	prev, prevDeleted := v.publish(key, blk)
-	if !prev.IsNil() {
+	if prev != 0 {
 		v.retire(prev)
 	}
-	if prev.IsNil() || prevDeleted {
+	if prev == 0 || prevDeleted {
 		v.addLive(1)
 	}
 	v.tick()
 	return nil
 }
 
-// publish installs blk as key's entry, returning the displaced entry (Nil
+// publish installs blk as key's entry, returning the displaced entry (0
 // on a fresh insert) and whether it was a deleted marker. Every racing
 // publish receives a distinct previous entry (ds.HashMap.Exchange's
 // contract), so each old block is retired exactly once.
-func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDeleted bool) {
+func (v *View) publish(key string, blk entryRef) (prev entryRef, prevDeleted bool) {
 	v.p.Enter()
 	defer v.p.Exit()
 	for {
-		pr := v.probe(key)
-		if pr.entry.IsNil() {
+		pr := v.probe(key, false)
+		if pr.absent() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(blk)); inserted {
-				return fabric.Nil, false
+				return 0, false
 			}
 			continue // lost the bind race; re-probe (the winner may be another key)
 		}
@@ -457,12 +470,23 @@ func (v *View) publish(key string, blk fabric.GPtr) (prev fabric.GPtr, prevDelet
 		if !existed {
 			continue
 		}
-		oe := fabric.GPtr(old)
 		// The displaced entry may differ from the probed one (a concurrent
 		// writer published in between), but slot binding is permanent, so
 		// it is OUR key's entry and we own retiring it.
-		return oe, v.readHeader(oe).deleted()
+		return entryRef(old), v.displacedHeader(pr, entryRef(old)).deleted()
 	}
+}
+
+// displacedHeader returns the header of old, the entry an Exchange on
+// pr's slot displaced. When old is the probed entry its header is already
+// in hand: the read section that covered the probe still pins the block,
+// so the same ref cannot name a recycled block. Only a racing writer's
+// entry costs a fetch.
+func (v *View) displacedHeader(pr probeResult, old entryRef) entryHdr {
+	if old == pr.ref {
+		return pr.hdr
+	}
+	return v.readHeader(old.addr())
 }
 
 // Get returns the value for key. A key whose TTL deadline has passed on
@@ -478,10 +502,8 @@ func (v *View) Get(key string) ([]byte, bool) {
 		defer func() { v.tw.End(trace.SubRedis, trace.KGet, h, uint64(len(val))) }()
 	}
 	v.p.Enter()
-	pr := v.probe(key)
-	if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-		_, val = v.readBody(pr.entry, pr.hdr)
-		ok = true
+	if pr := v.probe(key, true); v.live(pr) {
+		val, ok = pr.val, true
 	}
 	v.p.Exit()
 	v.tick()
@@ -496,9 +518,8 @@ func (v *View) MGet(keys ...string) [][]byte {
 	vals := make([][]byte, len(keys))
 	v.p.Enter()
 	for i, key := range keys {
-		pr := v.probe(key)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-			_, vals[i] = v.readBody(pr.entry, pr.hdr)
+		if pr := v.probe(key, true); v.live(pr) {
+			vals[i] = pr.val
 		}
 	}
 	v.p.Exit()
@@ -511,8 +532,7 @@ func (v *View) Exists(keys ...string) int {
 	n := 0
 	v.p.Enter()
 	for _, key := range keys {
-		pr := v.probe(key)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
+		if v.live(v.probe(key, false)) {
 			n++
 		}
 	}
@@ -539,8 +559,8 @@ func (v *View) del1(key string) bool {
 		return false
 	}
 	v.p.Enter()
-	pr := v.probe(key)
-	if pr.entry.IsNil() || pr.hdr.deleted() {
+	pr := v.probe(key, false)
+	if pr.absent() || pr.hdr.deleted() {
 		v.p.Exit()
 		v.tick()
 		return false
@@ -550,19 +570,21 @@ func (v *View) del1(key string) bool {
 	// linearizability — at the cost of one small block per deleted key.
 	dblk := v.newEntry(key, nil, 0, true)
 	old, existed := v.s.index.Exchange(v.n, pr.sk, uint64(dblk))
+	var ohdr entryHdr
+	if existed {
+		ohdr = v.displacedHeader(pr, entryRef(old))
+	}
 	v.p.Exit()
 	if !existed {
 		// Unreachable once a slot is bound (bindings are permanent), but
 		// reclaim the marker rather than leak it.
-		v.na.Free(dblk)
+		v.na.Free(dblk.addr())
 		v.tick()
 		return false
 	}
-	oe := fabric.GPtr(old)
-	ohdr := v.readHeader(oe)
 	wasLive := !ohdr.deleted()
 	wasUnexpired := wasLive && !v.expired(ohdr)
-	v.retire(oe)
+	v.retire(entryRef(old))
 	if wasLive {
 		v.addLive(-1)
 	}
@@ -586,12 +608,11 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 			return 0, ErrFenced
 		}
 		v.p.Enter()
-		pr := v.probe(key)
+		pr := v.probe(key, true)
 		cur := int64(0)
 		exp := uint64(0)
-		if !pr.entry.IsNil() && !pr.hdr.deleted() && !v.expired(pr.hdr) {
-			_, val := v.readBody(pr.entry, pr.hdr)
-			parsed, err := strconv.ParseInt(string(val), 10, 64)
+		if v.live(pr) {
+			parsed, err := strconv.ParseInt(string(pr.val), 10, 64)
 			if err != nil {
 				v.p.Exit()
 				v.tick()
@@ -602,16 +623,16 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 		}
 		next := cur + delta
 		nblk := v.newEntry(key, []byte(strconv.FormatInt(next, 10)), exp, false)
-		if pr.entry.IsNil() {
+		if pr.absent() {
 			if _, inserted := v.s.index.PutIfAbsent(v.n, pr.sk, uint64(nblk)); inserted {
 				v.p.Exit()
 				v.addLive(1)
 				v.tick()
 				return next, nil
 			}
-		} else if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.entry), uint64(nblk)) {
+		} else if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.ref), uint64(nblk)) {
 			v.p.Exit()
-			v.retire(pr.entry)
+			v.retire(pr.ref)
 			if pr.hdr.deleted() {
 				v.addLive(1)
 			}
@@ -621,7 +642,7 @@ func (v *View) IncrBy(key string, delta int64) (int64, error) {
 		// Lost the race to a concurrent writer: our block was never
 		// published, free it directly and retry against the fresh state.
 		v.p.Exit()
-		v.na.Free(nblk)
+		v.na.Free(nblk.addr())
 	}
 }
 
@@ -640,24 +661,23 @@ func (v *View) Expire(key string, ttl time.Duration) bool {
 			return false
 		}
 		v.p.Enter()
-		pr := v.probe(key)
-		if pr.entry.IsNil() || pr.hdr.deleted() || v.expired(pr.hdr) {
+		pr := v.probe(key, true)
+		if !v.live(pr) {
 			v.p.Exit()
 			v.tick()
 			return false
 		}
-		_, val := v.readBody(pr.entry, pr.hdr)
-		nblk := v.newEntry(key, val, v.Now()+uint64(ttl.Nanoseconds()), false)
-		if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.entry), uint64(nblk)) {
+		nblk := v.newEntry(key, pr.val, v.Now()+uint64(ttl.Nanoseconds()), false)
+		if v.s.index.CompareAndSwap(v.n, pr.sk, uint64(pr.ref), uint64(nblk)) {
 			v.p.Exit()
-			v.retire(pr.entry)
+			v.retire(pr.ref)
 			v.tick()
 			return true
 		}
 		// Lost to a concurrent writer: the fresh state decides whether a
 		// TTL still applies — retry against it.
 		v.p.Exit()
-		v.na.Free(nblk)
+		v.na.Free(nblk.addr())
 	}
 }
 
